@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import MeasureBasis, gram
-from .constructions import sic_gram, wh_displacement
+from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, gram
+from .constructions import sic_gram_deviation, wh_displacement
+from .wigner import _greedy_match, principal_wigner, shifted
 
 SATURATION_TOL = 1e-9
-RANK_EIG_RTOL = 1e-8
 MATCH_TOL = 1e-8
 
 
@@ -211,12 +211,10 @@ def sic_triple_relation_check(sic: MeasureBasis, sign: int,
     every occurrence of sqrt(d+1) negated (s = -sqrt(d+1), F the shifted
     principal Wigner basis) for sign=-1.
     """
-    from .wigner import principal_wigner, shifted  # local: avoids cycle
-
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     d = sic.dim
-    dev = float(np.max(np.abs(gram(sic) - sic_gram(d))))
+    dev = sic_gram_deviation(sic.elements)
     if dev > sic_tol:
         raise ValueError(
             f"input is not a SIC (Gram deviation {dev:.3e} > {sic_tol:.1e})"
@@ -249,8 +247,7 @@ class DiagnosticsReport:
 def _rank_profile(basis: MeasureBasis,
                   rtol: float = RANK_EIG_RTOL) -> list[int]:
     eigs = np.linalg.eigvalsh(basis.elements)
-    floor = rtol * np.maximum(np.abs(eigs).max(axis=1), 1e-300)
-    return [int(r) for r in (np.abs(eigs) > floor[:, None]).sum(axis=1)]
+    return [int(r) for r in _element_ranks(eigs, rtol)]
 
 
 def wh_covariant(basis: MeasureBasis, tol: float = MATCH_TOL) -> bool:
@@ -259,21 +256,11 @@ def wh_covariant(basis: MeasureBasis, tol: float = MATCH_TOL) -> bool:
     d = basis.dim
     for k in range(d):
         for l in range(d):
-            if k == 0 and l == 0:
-                continue
             D = wh_displacement(d, k, l)
             conj = np.einsum("ij,njk,lk->nil", D, basis.elements, D.conj())
-            used = np.zeros(len(basis), dtype=bool)
-            for X in conj:
-                devs = np.array([
-                    np.inf if used[j]
-                    else np.max(np.abs(X - basis.elements[j]))
-                    for j in range(len(basis))
-                ])
-                j = int(np.argmin(devs))
-                if devs[j] > tol:
-                    return False
-                used[j] = True
+            perm = _greedy_match(conj, basis.elements)
+            if np.max(np.abs(conj - basis.elements[perm])) > tol:
+                return False
     return True
 
 

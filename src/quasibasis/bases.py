@@ -18,7 +18,6 @@ from .operators import (
     SingularOperatorError,
     SuperOperator,
     as_hermitian,
-    mat_func_psd,
     op_to_coords,
 )
 
@@ -37,7 +36,7 @@ class BasisValidationError(ValueError):
     """Candidate element set is not a valid measure basis."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisClass:
     """Classification report for a candidate measure basis.
 
@@ -72,37 +71,41 @@ class BasisClass:
         return ", ".join(tags)
 
 
+def _element_stack(candidate) -> np.ndarray:
+    """The symmetrized (d^2, d, d) element stack of a candidate basis;
+    raises on a malformed shape."""
+    elements = np.asarray(candidate, dtype=complex)
+    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
+        raise ValueError(f"expected (n, d, d) elements, got {elements.shape}")
+    d = elements.shape[1]
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    if elements.shape[0] != d * d:
+        raise BasisValidationError(
+            f"expected {d * d} elements for d={d}, got {elements.shape[0]}"
+        )
+    return as_hermitian(elements)
+
+
 class MeasureBasis:
     """Validated, immutable ordered basis of d^2 Hermitian operators.
 
-    Construction symmetrizes each element, then checks the three defining
+    Construction symmetrizes the elements, then checks the three defining
     invariants (sum to identity, nonnegative traces, linear independence)
     and raises BasisValidationError on any violation. Element order is
     significant and preserved.
     """
 
     def __init__(self, elements, label: str = "", tol: float = VALIDATION_TOL):
-        elements = np.asarray(elements, dtype=complex)
-        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-            raise ValueError(f"expected (n, d, d) elements, got {elements.shape}")
-        d = elements.shape[1]
-        if d < 2:
-            raise ValueError("dimension must be >= 2")
-        if elements.shape[0] != d * d:
-            raise BasisValidationError(
-                f"expected {d * d} elements for d={d}, got {elements.shape[0]}"
-            )
-        elements = np.stack([as_hermitian(E) for E in elements])
-        cls = validate(elements, tol)
-        if not cls.is_measure_basis:
-            raise BasisValidationError(
-                "not a measure basis: "
-                + ", ".join(f"{k}={v:.3e}" for k, v in cls.failures.items())
-            )
+        elements = _element_stack(elements)
         elements.setflags(write=False)
-        self.dim = d
+        self.dim = elements.shape[1]
         self.elements = elements
         self.label = label
+        self._tol = tol
+        self._class = validate(self, tol)
+        if not self._class.is_measure_basis:
+            raise BasisValidationError(self._class.summary())
 
     def __len__(self):
         return self.elements.shape[0]
@@ -123,12 +126,30 @@ class MeasureBasis:
     @cached_property
     def coords(self) -> np.ndarray:
         """Rows are the herm_onb coordinate vectors of the elements."""
-        c = np.stack([op_to_coords(E, self.dim) for E in self.elements])
+        c = op_to_coords(self.elements)
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def _lowdin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD X = U diag(s) V^T of X = A^{-1/2} C (C = coords,
+        A = diag(weights)): the principal Wigner basis has coordinates
+        A^{1/2} U V^T (Loewdin), and S_L = X^T X, so S_L^{1/2} = V diag(s) V^T.
+        """
+        w = _positive_weights(self, "the Loewdin factorization")
+        U, s, Vt = np.linalg.svd(self.coords / np.sqrt(w)[:, None],
+                                 full_matrices=False)
+        condition = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
+        if condition > MAX_GRAM_CONDITION:
+            raise SingularOperatorError(
+                f"rescaled Gram matrix is singular (condition {condition:.3e}); "
+                "basis too close to linear dependence"
+            )
+        return U, s, Vt
+
     def classify(self, tol: float = VALIDATION_TOL) -> BasisClass:
-        return validate(self.elements, tol)
+        """The construction-time report, recomputed only for another tol."""
+        return self._class if tol == self._tol else validate(self, tol)
 
     def __repr__(self):
         lab = f" {self.label!r}" if self.label else ""
@@ -136,8 +157,28 @@ class MeasureBasis:
 
 
 def _gram_of(elements: np.ndarray) -> np.ndarray:
-    G = np.einsum("aij,bji->ab", elements, elements).real
+    G = np.einsum("aij,bji->ab", elements, elements, optimize=True).real
     return (G + G.T) / 2
+
+
+def _element_ranks(eigs: np.ndarray, rtol: float = RANK_EIG_RTOL) -> np.ndarray:
+    """Numerical rank of each element from its eigenvalues (one row per
+    element): the count of |eigenvalues| above rtol times the largest."""
+    floor = rtol * np.maximum(np.abs(eigs).max(axis=1), 1e-300)
+    return (np.abs(eigs) > floor[:, None]).sum(axis=1)
+
+
+def _positive_weights(basis: MeasureBasis, what: str,
+                      weight_tol: float = 1e-12) -> np.ndarray:
+    """The weights of ``basis``, after checking that none is zero, since
+    ``what`` divides by them."""
+    w = basis.weights
+    if np.min(w) <= weight_tol:
+        raise SingularOperatorError(
+            f"zero-weight element (min trace {np.min(w):.3e}); {what} "
+            "divides by the weights"
+        )
+    return w
 
 
 def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
@@ -150,15 +191,8 @@ def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
     if isinstance(candidate, MeasureBasis):
         elements = candidate.elements
     else:
-        elements = np.asarray(candidate, dtype=complex)
-    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-        raise ValueError(f"expected (n, d, d) elements, got {elements.shape}")
+        elements = _element_stack(candidate)
     d = elements.shape[1]
-    if elements.shape[0] != d * d:
-        raise ValueError(
-            f"expected {d * d} elements for d={d}, got {elements.shape[0]}"
-        )
-    elements = np.stack([as_hermitian(E) for E in elements])
 
     failures: dict[str, float] = {}
 
@@ -199,9 +233,7 @@ def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
     is_unbiased = is_measure_basis and bool(
         np.max(np.abs(weights - 1.0 / d)) <= tol
     )
-    rank_floor = RANK_EIG_RTOL * np.maximum(np.abs(eigs).max(axis=1), 1e-300)
-    ranks = (np.abs(eigs) > rank_floor[:, None]).sum(axis=1)
-    is_rank1 = is_measure_basis and bool(np.all(ranks == 1))
+    is_rank1 = is_measure_basis and bool(np.all(_element_ranks(eigs) == 1))
 
     return BasisClass(
         is_measure_basis=is_measure_basis,
@@ -252,7 +284,7 @@ def dual_basis(basis) -> np.ndarray:
     if isinstance(basis, MeasureBasis):
         elements = basis.elements
     else:
-        elements = np.stack([as_hermitian(E) for E in np.asarray(basis)])
+        elements = as_hermitian(basis)
     Ginv = _inv_gram(_gram_of(elements))
     return np.einsum("ij,jab->iab", Ginv, elements)
 
@@ -275,12 +307,7 @@ def rescaled_frame_operator(basis: MeasureBasis,
     Fixes the identity, is trace-preserving, and for a MIC acts as the
     entanglement-breaking MIC channel. Requires strictly positive weights.
     """
-    w = basis.weights
-    if np.min(w) <= weight_tol:
-        raise SingularOperatorError(
-            f"zero-weight element (min trace {np.min(w):.3e}); the rescaled "
-            "frame operator divides by the weights"
-        )
+    w = _positive_weights(basis, "the rescaled frame operator", weight_tol)
     C = basis.coords
     return SuperOperator(C.T @ (C / w[:, None]), basis.dim)
 
@@ -291,17 +318,18 @@ def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     The inner factor equals (A^{-1/2} G A^{-1/2})^{-1/2}, which needs only
     one spectral decomposition of the uninverted matrix; that is noticeably
-    more accurate than inverting G first.
+    more accurate than inverting G first, and Phi itself is never formed.
     """
     rw = np.sqrt(weights)
-    sym = G / np.outer(rw, rw)
-    cond = np.linalg.cond(sym)
-    if not np.isfinite(cond) or cond > MAX_GRAM_CONDITION:
+    vals, vecs = np.linalg.eigh(G / np.outer(rw, rw))
+    condition = vals[-1] / vals[0] if vals[0] > 0 else np.inf
+    if condition > MAX_GRAM_CONDITION:
         raise SingularOperatorError(
-            f"Born-matrix square root is singular (condition {cond:.3e}); "
+            f"Born-matrix square root is singular (condition {condition:.3e}); "
             "basis too close to linear dependence"
         )
-    inner_root = mat_func_psd(sym, "inv_sqrt")
+    inner_root = (vecs / np.sqrt(vals)) @ vecs.T
+    inner_root = (inner_root + inner_root.T) / 2
     return inner_root * np.outer(rw, 1.0 / rw)
 
 
@@ -339,12 +367,7 @@ def born_matrix(basis: MeasureBasis,
     Columns sum to one, the weight vector is a fixed point, and for a MIC
     at least one entry is strictly negative.
     """
-    w = basis.weights
-    if np.min(w) <= weight_tol:
-        raise SingularOperatorError(
-            f"zero-weight element (min trace {np.min(w):.3e}); the Born "
-            "matrix divides by the weights"
-        )
+    w = _positive_weights(basis, "the Born matrix", weight_tol)
     G = gram(basis)
     phi = w[:, None] * _inv_gram(G)
     return BornMatrix(phi=phi, weights=w.copy(), gram=G)

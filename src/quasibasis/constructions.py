@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .bases import MeasureBasis, validate
+from .bases import BasisValidationError, MeasureBasis, _gram_of, _positive_weights
 from .operators import mat_func_psd
 
 _PAULI = {
@@ -60,17 +60,29 @@ def wh_displacement(d: int, k: int, l: int) -> np.ndarray:
         raise ValueError("dimension must be >= 2")
     k %= d
     l %= d
-    omega = np.exp(2j * np.pi / d)
+    n = np.arange(d)
     D = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        D[(n + k) % d, n] = omega ** (n * l)
+    D[(n + k) % d, n] = np.exp(2j * np.pi * ((n * l) % d) / d)
     return D
+
+
+def _wh_orbit(op: np.ndarray) -> np.ndarray:
+    """(1/d) D_{k,l} op D_{k,l}^dag for every displacement, in flat
+    (k*d + l) order."""
+    d = op.shape[0]
+    D = np.stack([wh_displacement(d, k, l) for k in range(d) for l in range(d)])
+    return np.einsum("nij,jk,nlk->nil", D, op, D.conj()) / d
 
 
 def sic_gram(d: int) -> np.ndarray:
     """The SIC Gram matrix (d delta_ij + 1) / (d^2 (d+1))."""
     n = d * d
     return (d * np.eye(n) + np.ones((n, n))) / (d * d * (d + 1))
+
+
+def sic_gram_deviation(elements: np.ndarray) -> float:
+    """Max entrywise deviation of a stack's Gram matrix from the SIC one."""
+    return float(np.max(np.abs(_gram_of(elements) - sic_gram(elements.shape[1]))))
 
 
 def sic_from_fiducial(fiducial, tol: float = 1e-8) -> MeasureBasis:
@@ -85,16 +97,10 @@ def sic_from_fiducial(fiducial, tol: float = 1e-8) -> MeasureBasis:
     norm = np.linalg.norm(f)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"fiducial is not unit norm (|f| = {norm:.15g})")
-    proj = np.outer(f, f.conj())
-    elements = np.empty((d * d, d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            D = wh_displacement(d, k, l)
-            elements[wh_flat_index(d, k, l)] = (D @ proj @ D.conj().T) / d
+    elements = _wh_orbit(np.outer(f, f.conj()))
     # Gram check before basis validation: degenerate orbits (which are not
     # even linearly independent) should report as non-SIC, with the deviation.
-    G = np.einsum("aij,bji->ab", elements, elements).real
-    dev = float(np.max(np.abs(G - sic_gram(d))))
+    dev = sic_gram_deviation(elements)
     if dev > tol:
         raise SicOrbitError("orbit is not a SIC", dev)
     return MeasureBasis(elements, label=f"WH-orbit SIC d={d}")
@@ -114,7 +120,8 @@ def builtin_sic(d: int) -> MeasureBasis:
     if d == 3:
         fid = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2.0)
         basis = sic_from_fiducial(fid)
-        return MeasureBasis(basis.elements, label="Hesse SIC")
+        basis.label = "Hesse SIC"
+        return basis
     raise ValueError(
         f"no built-in SIC for d={d}; use sic_from_fiducial with your own "
         "fiducial vector"
@@ -144,54 +151,36 @@ def prime_factors(n: int) -> list[int]:
 
 def parity_operator(d: int) -> np.ndarray:
     """The parity permutation |j> -> |-j mod d>."""
-    A0 = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        A0[(-j) % d, j] = 1.0
-    return A0
+    return np.eye(d, dtype=complex)[(-np.arange(d)) % d]
 
 
 def wootters_wigner(d: int) -> MeasureBasis:
     """Wootters' Wigner basis for d = 2 or d an odd prime, in flat
     (q*d + p) order.
 
-    For d=2: F(q,p) = (1/4)(I + (-1)^q sz + (-1)^p sx + (-1)^{q+p} sy).
-    For odd prime d: F(q,p) = (1/d) D_{q,p} A0 D_{q,p}^dag with A0 the
-    parity operator at the phase-space origin.
+    F(q,p) = (1/d) D_{q,p} A0 D_{q,p}^dag with A0 the phase-point operator
+    at the origin: the parity operator for odd prime d, and
+    (I + sx + sy + sz)/2 for d=2, which gives
+    F(q,p) = (1/4)(I + (-1)^q sz + (-1)^p sx + (-1)^{q+p} sy).
     """
     if d == 2:
-        elements = np.empty((4, 2, 2), dtype=complex)
-        for q in range(2):
-            for p in range(2):
-                elements[2 * q + p] = (
-                    np.eye(2)
-                    + (-1) ** q * _PAULI["z"]
-                    + (-1) ** p * _PAULI["x"]
-                    + (-1) ** (q + p) * _PAULI["y"]
-                ) / 4
-        return MeasureBasis(elements, label="Wootters qubit")
+        A0 = (np.eye(2) + _PAULI["x"] + _PAULI["y"] + _PAULI["z"]) / 2
+        return MeasureBasis(_wh_orbit(A0), label="Wootters qubit")
     if not _is_prime(d) or d % 2 == 0:
         raise ValueError(
             f"d={d} is not 2 or an odd prime; use composite_wootters for "
             "composite dimensions"
         )
-    A0 = parity_operator(d)
-    elements = np.empty((d * d, d, d), dtype=complex)
-    for q in range(d):
-        for p in range(d):
-            D = wh_displacement(d, q, p)
-            elements[wh_flat_index(d, q, p)] = (D @ A0 @ D.conj().T) / d
-    return MeasureBasis(elements, label=f"Wootters d={d}")
+    return MeasureBasis(_wh_orbit(parity_operator(d)), label=f"Wootters d={d}")
 
 
 def tensor_basis(left: MeasureBasis, right: MeasureBasis) -> MeasureBasis:
     """Elementwise tensor product basis {L_i (x) M_j} for the product
     dimension, flat index i * len(M) + j."""
-    nL, nM = len(left), len(right)
     d = left.dim * right.dim
-    elements = np.empty((nL * nM, d, d), dtype=complex)
-    for i in range(nL):
-        for j in range(nM):
-            elements[i * nM + j] = np.kron(left.elements[i], right.elements[j])
+    elements = np.einsum(
+        "iab,jcd->ijacbd", left.elements, right.elements
+    ).reshape(len(left) * len(right), d, d)  # row (i, j) is L_i (x) M_j
     lab_l = left.label or "L"
     lab_r = right.label or "M"
     return MeasureBasis(elements, label=f"{lab_l} (x) {lab_r}")
@@ -219,7 +208,8 @@ def tensorhedron(n: int) -> MeasureBasis:
     basis = builtin_sic(2)
     for _ in range(n - 1):
         basis = tensor_basis(basis, builtin_sic(2))
-    return MeasureBasis(basis.elements, label=f"tensorhedron n={n}")
+    basis.label = f"tensorhedron n={n}"
+    return basis
 
 
 def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
@@ -247,20 +237,14 @@ def mic_t_range(basis: MeasureBasis,
     An element proportional to I/d constrains nothing and contributes
     -inf / +inf to the corresponding side.
     """
-    w = basis.weights
-    if np.min(w) <= weight_tol:
-        raise ValueError("zero-weight element; t-range needs positive weights")
+    w = _positive_weights(basis, "the t-range", weight_tol)
     d = basis.dim
     eps = 1e-12
-    t_min, t_max = -np.inf, np.inf
-    for E, wi in zip(basis.elements, w):
-        eigs = np.linalg.eigvalsh(E / wi)
-        lo = 1.0 - d * eigs[-1]
-        hi = 1.0 - d * eigs[0]
-        if lo < -eps:
-            t_min = max(t_min, 1.0 / lo)
-        if hi > eps:
-            t_max = min(t_max, 1.0 / hi)
+    eigs = np.linalg.eigvalsh(basis.elements / w[:, None, None])
+    lo = 1.0 - d * eigs[:, -1]
+    hi = 1.0 - d * eigs[:, 0]
+    t_min = np.max(1.0 / lo[lo < -eps], initial=-np.inf)
+    t_max = np.min(1.0 / hi[hi > eps], initial=np.inf)
     return float(t_min), float(t_max)
 
 
@@ -288,8 +272,12 @@ def random_mic(d: int, seed: int) -> MeasureBasis:
     rng = np.random.default_rng(seed)
     for _ in range(8):
         elements = _whiten_to_identity(_wishart_stack(rng, d * d, d))
-        if validate(elements).is_mic:
-            return MeasureBasis(elements, label=f"random MIC d={d} seed={seed}")
+        try:
+            basis = MeasureBasis(elements, label=f"random MIC d={d} seed={seed}")
+        except BasisValidationError:
+            continue
+        if basis.classify().is_mic:
+            return basis
     raise RuntimeError(
         f"failed to draw a linearly independent MIC for d={d}, seed={seed}"
     )

@@ -31,21 +31,23 @@ class SingularOperatorError(ValueError):
 
 
 def as_hermitian(A, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Symmetrize A to (A + A^dag)/2, rejecting if the asymmetry exceeds
-    ``rtol`` times the norm of A.
+    """Symmetrize A, or each matrix of an (n, d, d) stack, to (A + A^dag)/2,
+    rejecting if the asymmetry exceeds ``rtol`` times the norm of A.
 
     Small asymmetries are numerical noise and are silently removed; large
     ones indicate a genuinely non-Hermitian input and raise.
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    herm = (A + A.conj().T) / 2
-    asym = np.linalg.norm(A - herm)
-    scale = max(np.linalg.norm(A), 1.0)
-    if asym > rtol * scale:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or stack, got shape {A.shape}")
+    herm = (A + np.swapaxes(A, -1, -2).conj()) / 2
+    asym = np.linalg.norm(A - herm, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)), 1.0)
+    if np.any(asym > rtol * scale):
+        i = np.argmax(asym / scale)  # the worst element of a stack
         raise NonHermitianError(
-            f"asymmetry {asym:.3e} exceeds {rtol:.1e} * norm {scale:.3e}"
+            f"asymmetry {asym.flat[i]:.3e} exceeds {rtol:.1e} * norm "
+            f"{scale.flat[i]:.3e}" + (f" (element {i})" if A.ndim == 3 else "")
         )
     return herm
 
@@ -88,6 +90,8 @@ def mat_func_psd(A, f, clip: float | None = None) -> np.ndarray:
     raises). Default clip is CLIP_RTOL * max|eigenvalue|.
     """
     A = np.asarray(A)
+    if A.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     real_input = not np.iscomplexobj(A)
     H = as_hermitian(A) if not real_input else as_hermitian(A).real
     vals, vecs = np.linalg.eigh(H)
@@ -133,49 +137,41 @@ def herm_onb(d: int) -> np.ndarray:
         raise ValueError("dimension must be >= 2")
     basis = np.zeros((d * d, d, d), dtype=complex)
     basis[0] = np.eye(d) / np.sqrt(d)
-    idx = 1
-    for j in range(d):
-        for k in range(j + 1, d):
-            B = np.zeros((d, d), dtype=complex)
-            B[j, k] = B[k, j] = 1 / np.sqrt(2)
-            basis[idx] = B
-            idx += 1
-    for j in range(d):
-        for k in range(j + 1, d):
-            B = np.zeros((d, d), dtype=complex)
-            B[j, k] = -1j / np.sqrt(2)
-            B[k, j] = 1j / np.sqrt(2)
-            basis[idx] = B
-            idx += 1
+    j, k = np.triu_indices(d, 1)  # pairs j < k in row-major order
+    sym = 1 + np.arange(len(j))
+    anti = sym + len(j)
+    basis[sym, j, k] = basis[sym, k, j] = 1 / np.sqrt(2)
+    basis[anti, j, k] = -1j / np.sqrt(2)
+    basis[anti, k, j] = 1j / np.sqrt(2)
     for l in range(1, d):
         diag = np.zeros(d)
         diag[:l] = 1.0
         diag[l] = -l
-        basis[idx] = np.diag(diag / np.sqrt(l * (l + 1))).astype(complex)
-        idx += 1
+        basis[anti[-1] + l] = np.diag(diag / np.sqrt(l * (l + 1)))
     basis.setflags(write=False)
     return basis
 
 
 def op_to_coords(A, d: int | None = None) -> np.ndarray:
-    """Real coordinate vector of a Hermitian operator in the herm_onb basis.
+    """Real coordinate vector of a Hermitian operator in the herm_onb basis;
+    for an (n, d, d) stack, one row per operator.
 
     The map is a linear isometry: hs_inner becomes the Euclidean dot product.
     """
     A = np.asarray(A, dtype=complex)
     if d is None:
-        d = A.shape[0]
-    if A.shape != (d, d):
+        d = A.shape[-1]
+    if A.ndim not in (2, 3) or A.shape[-2:] != (d, d):
         raise ValueError(f"dimension mismatch: {A.shape} vs d={d}")
-    return np.einsum("aij,ji->a", herm_onb(d), A).real
+    return np.einsum("aij,...ji->...a", herm_onb(d), A, optimize=True).real
 
 
 def coords_to_op(v, d: int) -> np.ndarray:
-    """Inverse of op_to_coords."""
+    """Inverse of op_to_coords, for one coordinate vector or rows of them."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (d * d,):
+    if v.ndim not in (1, 2) or v.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got shape {v.shape}")
-    return np.einsum("a,aij->ij", v, herm_onb(d))
+    return np.einsum("...a,aij->...ij", v, herm_onb(d), optimize=True)
 
 
 class SuperOperator:
@@ -199,16 +195,11 @@ class SuperOperator:
         matrix[a, b] = hs_inner(B_a, action(B_b)); raises if any output
         fails the Hermiticity check.
         """
-        basis = herm_onb(d)
-        n = d * d
-        cols = np.empty((n, n))
-        for b in range(n):
-            out = as_hermitian(action(basis[b]), rtol)
-            cols[:, b] = op_to_coords(out, d)
-        return cls(cols, d)
+        outs = as_hermitian(np.stack([action(B) for B in herm_onb(d)]), rtol)
+        return cls(op_to_coords(outs).T, d)
 
     def apply(self, X) -> np.ndarray:
-        return coords_to_op(self.matrix @ op_to_coords(X, self.d), self.d)
+        return coords_to_op(op_to_coords(X, self.d) @ self.matrix.T, self.d)
 
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         if self.d != other.d:

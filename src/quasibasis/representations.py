@@ -16,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import MeasureBasis, born_matrix, dual_basis
+from .bases import (
+    MeasureBasis,
+    _positive_weights,
+    born_matrix,
+    dual_basis,
+    rescaled_frame_operator,
+)
 from .operators import as_hermitian
+from .wigner import sqrt_born
 
 STATE_TOL = 1e-9
 QUASI_SUM_TOL = 1e-10
@@ -52,7 +59,7 @@ def validate_povm(effects, tol: float = STATE_TOL) -> np.ndarray:
     effects = np.asarray(effects, dtype=complex)
     if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
         raise ValueError(f"expected (n, d, d) effects, got {effects.shape}")
-    effects = np.stack([as_hermitian(E) for E in effects])
+    effects = as_hermitian(effects)
     d = effects.shape[1]
     min_eig = float(np.linalg.eigvalsh(effects)[:, 0].min())
     if min_eig < -tol:
@@ -141,11 +148,8 @@ def conditional_matrix(effects, basis: MeasureBasis) -> np.ndarray:
     effects = np.asarray(effects, dtype=complex)
     if effects.shape[1] != basis.dim:
         raise ValueError("dimension mismatch between effects and basis")
-    if np.min(basis.weights) <= 1e-12:
-        raise ValueError(
-            "zero-weight element; conditional probabilities divide by weights"
-        )
-    states = basis.elements / basis.weights[:, None, None]
+    w = _positive_weights(basis, "the conditional matrix")
+    states = basis.elements / w[:, None, None]
     return np.einsum("jab,iba->ji", effects, states).real
 
 
@@ -193,7 +197,7 @@ def gauge_split(effects, basis: MeasureBasis, rho,
         )
     D = validate_povm(effects)
     rho = validate_state(rho)
-    phi_sqrt = born_matrix(basis).phi_sqrt
+    phi_sqrt = sqrt_born(basis)
     right = QuasiDistribution(phi_sqrt @ state_to_probs(rho, basis))
     left = conditional_matrix(D, basis) @ phi_sqrt
     q_direct = np.einsum("jab,ba->j", D, rho).real
@@ -216,8 +220,4 @@ def ebmc_apply(basis: MeasureBasis, X) -> np.ndarray:
     X = as_hermitian(X)
     if X.shape[0] != basis.dim:
         raise ValueError("dimension mismatch")
-    w = basis.weights
-    if np.min(w) <= 1e-12:
-        raise ValueError("zero-weight element; the channel divides by weights")
-    coeffs = np.einsum("ij,nji->n", X, basis.elements).real / w
-    return np.einsum("n,nij->ij", coeffs, basis.elements)
+    return rescaled_frame_operator(basis).apply(X)

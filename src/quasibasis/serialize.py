@@ -62,13 +62,16 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
-def _pairs_to_matrix(rows, d: int, what: str) -> np.ndarray:
+def _pairs_to_complex(rows, shape: tuple, what: str) -> np.ndarray:
     M = np.asarray(rows, dtype=float)
-    if M.shape != (d, d, 2):
+    if M.shape != (*shape, 2):
         raise SchemaError(
-            f"{what}: expected a {d} x {d} matrix of [re, im] pairs, got "
-            f"shape {M.shape}"
+            f"{what}: expected {' x '.join(map(str, shape))} [re, im] pairs, "
+            f"got shape {M.shape}"
         )
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        raise SchemaError(f"{what}: non-finite entry at {bad[0].tolist()}")
     return M[..., 0] + 1j * M[..., 1]
 
 
@@ -112,7 +115,8 @@ def _read_elements(path, expect_square_count: bool):
             f"got {len(raw)}"
         )
     elements = np.stack(
-        [_pairs_to_matrix(E, d, f"{path} element {i}") for i, E in enumerate(raw)]
+        [_pairs_to_complex(E, (d, d), f"{path} element {i}")
+         for i, E in enumerate(raw)]
     )
     return elements, str(doc.get("label", ""))
 
@@ -134,13 +138,9 @@ def read_fiducial(path) -> np.ndarray:
     """Load a fiducial vector; unit norm is checked by the SIC builder."""
     doc = _load_doc(path)
     d = int(_require(doc, "dimension", path))
-    amps = np.asarray(_require(doc, "amplitudes", path), dtype=float)
-    if amps.shape != (d, 2):
-        raise SchemaError(
-            f"{path}: expected {d} [re, im] amplitude pairs, got shape "
-            f"{amps.shape}"
-        )
-    return amps[:, 0] + 1j * amps[:, 1]
+    return _pairs_to_complex(
+        _require(doc, "amplitudes", path), (d,), f"{path} amplitudes"
+    )
 
 
 def write_fiducial(fiducial, path) -> None:
@@ -156,7 +156,7 @@ def read_state(path) -> np.ndarray:
     """Load and validate a density-operator file."""
     doc = _load_doc(path)
     d = int(_require(doc, "dimension", path))
-    rho = _pairs_to_matrix(_require(doc, "matrix", path), d, f"{path} matrix")
+    rho = _pairs_to_complex(_require(doc, "matrix", path), (d, d), f"{path} matrix")
     return validate_state(rho)
 
 

@@ -4,10 +4,13 @@ from a Wigner basis back into the equivalence class of measure bases above
 it.
 
 The orthogonalization F_i = S_L^{-1/2}(L_i) (inverse square root of the
-rescaled frame operator, applied elementwise) is computed along two
-independent routes and cross-checked: superoperator functional calculus,
-and the linear combination F_i = sum_j [sqrt(Phi)]_ij L_j. The two fail in
-different ways, so their agreement is the strongest internal consistency
+rescaled frame operator, applied elementwise) is the symmetric (Loewdin)
+orthogonalization of the rescaled elements L_i / sqrt(l_i). It is computed
+along two routes that rest on different factorizations and is
+cross-checked: the polar factor of the rescaled coordinate matrix, from one
+SVD cached on the basis, and the linear combination
+F_i = sum_j [sqrt(Phi)]_ij L_j, from one eigendecomposition of
+A^{-1/2} G A^{-1/2}. Their agreement is the strongest internal consistency
 check available.
 """
 
@@ -20,9 +23,12 @@ import numpy as np
 from .bases import (
     MeasureBasis,
     VALIDATION_TOL,
-    born_matrix,
-    rescaled_frame_operator,
+    _born_sqrt,
+    _positive_weights,
+    gram,
 )
+from .constructions import collinear
+from .operators import coords_to_op
 
 CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
@@ -36,20 +42,20 @@ def sqrt_born(basis: MeasureBasis) -> np.ndarray:
     vector; its rows are the expansion coefficients of the principal
     Wigner basis in the measure basis.
     """
-    return born_matrix(basis).phi_sqrt
+    return _born_sqrt(gram(basis), _positive_weights(basis, "the Born matrix"))
 
 
 @dataclass
 class PWResult:
     """Principal Wigner basis along with both computation routes.
 
-    ``basis`` is the validated Wigner basis; ``via_superop`` and
+    ``basis`` is the validated Wigner basis; ``via_polar`` and
     ``via_sqrtphi`` are the raw element stacks from the two routes, and
     ``cross_error`` their max elementwise deviation.
     """
 
     basis: MeasureBasis
-    via_superop: np.ndarray
+    via_polar: np.ndarray
     via_sqrtphi: np.ndarray
     cross_error: float
 
@@ -60,25 +66,27 @@ def principal_wigner(basis: MeasureBasis,
     the image of each element under the inverse square root of the rescaled
     frame operator.
 
-    The output is a Wigner basis with the same bias. Raises if the two
-    computation routes disagree beyond cross_tol or if the output fails
-    Wigner validation.
+    The output is a Wigner basis with the same bias, built from the polar
+    factor A^{1/2} U V^T of the rescaled coordinates A^{-1/2} C = U Sigma V^T.
+    Raises if the square-root Born route disagrees beyond cross_tol or if
+    the output fails Wigner validation.
     """
-    S = rescaled_frame_operator(basis)
-    inv_root = S.func("inv_sqrt")
-    via_superop = np.stack([inv_root.apply(E) for E in basis.elements])
+    U, _, Vt = basis._lowdin
+    polar = np.sqrt(basis.weights)[:, None] * (U @ Vt)
+    via_polar = coords_to_op(polar, basis.dim)
 
-    phi_sqrt = sqrt_born(basis)
-    via_sqrtphi = np.einsum("ij,jab->iab", phi_sqrt, basis.elements)
+    via_sqrtphi = np.einsum(
+        "ij,jab->iab", sqrt_born(basis), basis.elements, optimize=True
+    )
 
-    cross_error = float(np.max(np.abs(via_superop - via_sqrtphi)))
+    cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
     if cross_error > cross_tol:
         raise ArithmeticError(
             f"principal-Wigner routes disagree: cross error {cross_error:.3e} "
             f"> {cross_tol:.1e}"
         )
 
-    out = MeasureBasis(via_sqrtphi, label=f"PW({basis.label})")
+    out = MeasureBasis(via_polar, label=f"PW({basis.label})")
     cls = out.classify()
     if not cls.is_wigner:
         raise ArithmeticError(
@@ -91,7 +99,7 @@ def principal_wigner(basis: MeasureBasis,
         raise ArithmeticError(f"bias not preserved (deviation {bias_dev:.3e})")
     return PWResult(
         basis=out,
-        via_superop=via_superop,
+        via_polar=via_polar,
         via_sqrtphi=via_sqrtphi,
         cross_error=cross_error,
     )
@@ -99,19 +107,16 @@ def principal_wigner(basis: MeasureBasis,
 
 def shifted(basis: MeasureBasis) -> MeasureBasis:
     """The shifted Wigner basis -F_i + (2 f_i / d) I; a Wigner basis with
-    the same bias, and an involution."""
+    the same bias, and an involution: the collinear member at t = -1."""
     cls = basis.classify()
     if not cls.is_wigner:
         raise ValueError(
             "shifted basis is only defined for Wigner bases "
             f"(input classified as: {cls.summary()})"
         )
-    d = basis.dim
-    eye = np.eye(d)
-    elements = -basis.elements + (
-        2.0 / d
-    ) * basis.weights[:, None, None] * eye
-    return MeasureBasis(elements, label=f"shifted {basis.label}")
+    out = collinear(basis, -1.0)
+    out.label = f"shifted {basis.label}"
+    return out
 
 
 @dataclass
@@ -149,27 +154,33 @@ def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
         ok = dev <= tol
         return EquivalenceResult(ok, dev, "equivalent" if ok else "mismatch")
 
-    n = len(FL)
-    used = np.zeros(n, dtype=bool)
-    perm = np.empty(n, dtype=int)
-    for i in range(n):
-        devs = np.array([
-            np.inf if used[j]
-            or abs(FL.weights[i] - FR.weights[j]) > max(tol, 1e-10)
-            else np.max(np.abs(FL.elements[i] - FR.elements[j]))
-            for j in range(n)
-        ])
-        j = int(np.argmin(devs))
-        if not np.isfinite(devs[j]):
-            return EquivalenceResult(False, np.inf, "greedy_unmatched")
-        used[j] = True
-        perm[i] = j
+    same_bias = np.abs(FL.weights[:, None] - FR.weights) <= max(tol, 1e-10)
+    perm = _greedy_match(FL.elements, FR.elements, same_bias)
+    if perm is None:
+        return EquivalenceResult(False, np.inf, "greedy_unmatched")
     dev = float(
         np.max(np.abs(FL.elements - FR.elements[perm]))
     )
     if dev <= tol:
         return EquivalenceResult(True, dev, "equivalent", tuple(perm))
     return EquivalenceResult(False, dev, "greedy_unmatched")
+
+
+def _greedy_match(X: np.ndarray, Y: np.ndarray,
+                  allowed: np.ndarray | None = None) -> np.ndarray | None:
+    """Pair each operator X[i], in order, with the nearest (max-abs entry
+    distance) unused Y[j] among the allowed pairs; None if some X[i] has no
+    allowed partner left."""
+    dist = np.stack([np.max(np.abs(x - Y), axis=(1, 2)) for x in X])
+    if allowed is not None:
+        dist[~allowed] = np.inf
+    perm = np.empty(len(X), dtype=int)
+    for i, row in enumerate(dist):
+        perm[i] = j = int(np.argmin(row))
+        if not np.isfinite(row[j]):
+            return None
+        dist[:, j] = np.inf
+    return perm
 
 
 def lift(wigner_basis: MeasureBasis, reference: MeasureBasis) -> MeasureBasis:
@@ -185,9 +196,9 @@ def lift(wigner_basis: MeasureBasis, reference: MeasureBasis) -> MeasureBasis:
         raise ValueError("lift input must be a Wigner basis")
     if wigner_basis.dim != reference.dim:
         raise ValueError("dimension mismatch")
-    root = rescaled_frame_operator(reference).func("sqrt")
-    elements = np.stack([root.apply(F) for F in wigner_basis.elements])
+    _, s, Vt = reference._lowdin
+    coords = wigner_basis.coords @ ((Vt.T * s) @ Vt)  # S_L^{1/2} = V Sigma V^T
     return MeasureBasis(
-        elements,
+        coords_to_op(coords, reference.dim),
         label=f"lift({wigner_basis.label}; {reference.label})",
     )

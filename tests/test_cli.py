@@ -311,6 +311,31 @@ def test_represent_dimension_mismatch(tmp_path, capsys):
     assert "dimension mismatch" in doc["payload"]["message"]
 
 
+def test_pw_rejects_non_finite_entry(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    write_basis(builtin_sic(2), path)
+    doc = json.loads(path.read_text())
+    doc["elements"][2][0][1][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    code, out = run_json(
+        capsys, "pw", "--in", str(path), "--out", str(tmp_path / "pw.json")
+    )
+    assert code == 2
+    message = out["payload"]["message"]
+    assert "element 2" in message and "non-finite" in message
+
+
+def test_verify_triple_above_d5_is_usage_error(tmp_path, capsys):
+    w6 = tmp_path / "w6.json"
+    code, _ = run_json(
+        capsys, "construct", "wootters", "--d", "6", "--out", str(w6)
+    )
+    assert code == 0
+    code, doc = run_json(capsys, "verify", "triple", "--in", str(w6))
+    assert code == 2 and doc["status"] == "error"
+    assert "d=6" in doc["payload"]["message"]
+
+
 def test_missing_file_is_usage_error(capsys):
     code, doc = run_json(capsys, "verify", "theorem1", "--in", "missing.json")
     assert code == 2 and doc["status"] == "error"

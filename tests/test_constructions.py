@@ -219,6 +219,8 @@ def test_tensor_basis_bias_and_gram():
     np.testing.assert_allclose(
         gram(T), np.kron(gram(L), gram(M)), atol=1e-13
     )
+    kron_loop = [np.kron(A, B) for A in L.elements for B in M.elements]
+    np.testing.assert_array_equal(T.elements, kron_loop)
 
 
 def test_tensor_of_mics_is_mic():

@@ -93,6 +93,29 @@ def test_fiducial_shape_error(tmp_path):
         read_fiducial(path)
 
 
+@pytest.mark.parametrize("kind", ["basis", "state", "fiducial"])
+def test_readers_reject_non_finite_entries(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    if kind == "basis":
+        write_basis(builtin_sic(2), path)
+        read, key, at = read_basis, "elements", (1, 0, 0, 1)
+    elif kind == "state":
+        write_state(np.eye(2) / 2, path)
+        read, key, at = read_state, "matrix", (1, 1, 0)
+    else:
+        write_fiducial(np.array([0, 1, -1]) / np.sqrt(2), path)
+        read, key, at = read_fiducial, "amplitudes", (2, 0)
+    doc = json.loads(path.read_text())
+    entry = doc[key]
+    for i in at[:-1]:
+        entry = entry[i]
+    entry[at[-1]] = float("inf")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="non-finite") as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
 def test_state_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     rho = random_density(3, rng)

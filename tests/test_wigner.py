@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from quasibasis import bases
 from quasibasis.bases import MeasureBasis, born_matrix, gram
 from quasibasis.constructions import (
     builtin_sic,
     collinear,
+    mic_t_range,
     random_mic,
     random_unbiased_mic,
     tensorhedron,
@@ -99,6 +101,56 @@ def test_principal_wigner_properties(d, seed, maker):
     assert np.max(np.abs(F.elements.sum(axis=0) - np.eye(d))) <= 1e-9
     assert np.max(np.abs(F.weights - L.weights)) <= 1e-10
     np.testing.assert_allclose(np.diag(G), F.weights, atol=1e-9)
+
+
+@pytest.mark.parametrize("d,seed,t", [(6, 23, None), (4, 145, 0.5),
+                                       (4, 145, -0.5)])
+def test_principal_wigner_ill_conditioned_collinear(d, seed, t):
+    # Gram conditions 1.3e10 (t at the lower MIC end) and 6.5e8, inside
+    # MAX_GRAM_CONDITION: the output must pass its own orthogonality check
+    L = random_unbiased_mic(d, seed)
+    Lt = collinear(L, mic_t_range(L)[0] if t is None else t)
+    res = principal_wigner(Lt)
+    assert res.cross_error <= 1e-8
+    assert res.basis.classify().is_wigner
+
+
+def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
+    raw = np.array(random_mic(4, 3).elements)
+    calls = []  # (factorization, made inside validate)
+    inside = [0]
+    validations = [0]
+    real_validate = bases.validate
+
+    def counting_validate(*args, **kwargs):
+        validations[0] += 1
+        inside[0] += 1
+        try:
+            return real_validate(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append((name, inside[0] > 0))
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bases, "validate", counting_validate)
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cond", "inv",
+                 "pinv", "solve", "lstsq", "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+
+    L = MeasureBasis(raw)
+    assert validations == [1]
+    calls.clear()
+    principal_wigner(L)
+    # one SVD (polar route) and one eigh (sqrt(Phi) route), plus the single
+    # validation of the output basis
+    assert sorted(name for name, in_validate in calls if not in_validate) \
+        == ["eigh", "svd"]
+    assert validations == [2]
 
 
 def test_shifted_is_involution():
@@ -196,6 +248,29 @@ def test_wigner_equivalent_permuted_mode():
     assert permuted and permuted.verdict == "equivalent"
     # permutation maps PW(L) indices to matching PW(M) indices
     assert [perm[j] for j in permuted.permutation] == [0, 1, 2, 3]
+
+
+def test_greedy_match_follows_the_loop_reference(rng):
+    from quasibasis.wigner import _greedy_match
+
+    def reference(X, Y, allowed):
+        used, perm = np.zeros(len(Y), dtype=bool), []
+        for i, x in enumerate(X):
+            devs = [np.inf if used[j] or not allowed[i, j]
+                    else np.max(np.abs(x - Y[j])) for j in range(len(Y))]
+            j = int(np.argmin(devs))
+            if not np.isfinite(devs[j]):
+                return None
+            used[j] = True
+            perm.append(j)
+        return perm
+
+    for trial in range(20):
+        X, Y = rng.integers(-3, 4, (2, 6, 2, 2)) * 1.0  # distances tie often
+        allowed = rng.random((6, 6)) < (0.5 if trial % 2 else 1.0)
+        got = _greedy_match(X, Y, allowed)
+        want = reference(X, Y, allowed)
+        assert (None if got is None else list(got)) == want
 
 
 def test_wigner_equivalent_dim_mismatch():
