@@ -49,8 +49,7 @@ class DistanceReport:
     saturates_upper: bool = False
 
 
-def distance_bounds(mic: MeasureBasis,
-                    tol: float = SATURATION_TOL) -> DistanceReport:
+def distance_bounds(mic: MeasureBasis) -> DistanceReport:
     """Distance bounds from the frame-operator spectrum of an unbiased MIC.
 
     Rejects biased MICs: the bounds are proven only in the unbiased case.
@@ -80,7 +79,7 @@ def distance_report(mic: MeasureBasis, wigner_basis: MeasureBasis,
             "distance report requires an unbiased Wigner basis "
             f"(classification: {wcls.summary()})"
         )
-    report = distance_bounds(mic, tol)
+    report = distance_bounds(mic)
     dist = distance(mic, wigner_basis)
     report.distance = dist
     report.saturates_lower = abs(dist - report.lower_bound) <= tol

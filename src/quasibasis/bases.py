@@ -5,6 +5,9 @@ A measure basis is an ordered Hermitian operator basis {L_i} for the space
 of d x d operators with sum(L_i) = I and tr(L_i) >= 0. MICs (all elements
 positive semidefinite) and Wigner bases (Gram matrix diagonal) are the two
 refinements everything else in the package revolves around.
+
+Phi = A G^{-1} and sqrt(Phi) are A^{1/2} U Sigma^{-p} U^T A^{-1/2} (p = 2, 1)
+from the SVD A^{-1/2} C = U Sigma V^T that MeasureBasis._lowdin caches.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ VALIDATION_TOL = 1e-9
 MAX_GRAM_CONDITION = 1e12
 
 RANK_EIG_RTOL = 1e-8
+
+# Weights at or below this count as zero wherever a map divides by them.
+WEIGHT_TOL = 1e-12
 
 
 class BasisValidationError(ValueError):
@@ -96,14 +102,13 @@ class MeasureBasis:
     significant and preserved.
     """
 
-    def __init__(self, elements, label: str = "", tol: float = VALIDATION_TOL):
+    def __init__(self, elements, label: str = ""):
         elements = _element_stack(elements)
         elements.setflags(write=False)
         self.dim = elements.shape[1]
         self.elements = elements
         self.label = label
-        self._tol = tol
-        self._class = validate(self, tol)
+        self._class = validate(self)
         if not self._class.is_measure_basis:
             raise BasisValidationError(self._class.summary())
 
@@ -134,7 +139,8 @@ class MeasureBasis:
     def _lowdin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD X = U diag(s) V^T of X = A^{-1/2} C (C = coords,
         A = diag(weights)): the principal Wigner basis has coordinates
-        A^{1/2} U V^T (Loewdin), and S_L = X^T X, so S_L^{1/2} = V diag(s) V^T.
+        A^{1/2} U V^T (Loewdin), S_L = X^T X, so S_L^{1/2} = V diag(s) V^T,
+        and A^{-1/2} G A^{-1/2} = X X^T = U diag(s^2) U^T.
         """
         w = _positive_weights(self, "the Loewdin factorization")
         U, s, Vt = np.linalg.svd(self.coords / np.sqrt(w)[:, None],
@@ -147,9 +153,9 @@ class MeasureBasis:
             )
         return U, s, Vt
 
-    def classify(self, tol: float = VALIDATION_TOL) -> BasisClass:
-        """The construction-time report, recomputed only for another tol."""
-        return self._class if tol == self._tol else validate(self, tol)
+    def classify(self) -> BasisClass:
+        """The construction-time report (at VALIDATION_TOL)."""
+        return self._class
 
     def __repr__(self):
         lab = f" {self.label!r}" if self.label else ""
@@ -168,12 +174,11 @@ def _element_ranks(eigs: np.ndarray, rtol: float = RANK_EIG_RTOL) -> np.ndarray:
     return (np.abs(eigs) > floor[:, None]).sum(axis=1)
 
 
-def _positive_weights(basis: MeasureBasis, what: str,
-                      weight_tol: float = 1e-12) -> np.ndarray:
+def _positive_weights(basis: MeasureBasis, what: str) -> np.ndarray:
     """The weights of ``basis``, after checking that none is zero, since
     ``what`` divides by them."""
     w = basis.weights
-    if np.min(w) <= weight_tol:
+    if np.min(w) <= WEIGHT_TOL:
         raise SingularOperatorError(
             f"zero-weight element (min trace {np.min(w):.3e}); {what} "
             "divides by the weights"
@@ -262,16 +267,6 @@ def bias_matrix(basis: MeasureBasis) -> np.ndarray:
     return np.diag(basis.weights)
 
 
-def _inv_gram(G: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(G)
-    if vals[0] <= 0 or vals[-1] / vals[0] > MAX_GRAM_CONDITION:
-        raise SingularOperatorError(
-            f"Gram matrix numerically singular (condition "
-            f"{np.inf if vals[0] <= 0 else vals[-1] / vals[0]:.3e})"
-        )
-    return (vecs / vals) @ vecs.T
-
-
 def dual_basis(basis) -> np.ndarray:
     """Dual elements, tr(dual_i L_j) = delta_ij, stacked as (d^2, d, d).
 
@@ -285,8 +280,13 @@ def dual_basis(basis) -> np.ndarray:
         elements = basis.elements
     else:
         elements = as_hermitian(basis)
-    Ginv = _inv_gram(_gram_of(elements))
-    return np.einsum("ij,jab->iab", Ginv, elements)
+    vals, vecs = np.linalg.eigh(_gram_of(elements))
+    if vals[0] <= 0 or vals[-1] / vals[0] > MAX_GRAM_CONDITION:
+        raise SingularOperatorError(
+            f"Gram matrix numerically singular (condition "
+            f"{np.inf if vals[0] <= 0 else vals[-1] / vals[0]:.3e})"
+        )
+    return np.einsum("ij,jab->iab", (vecs / vals) @ vecs.T, elements)
 
 
 def frame_operator(basis: MeasureBasis) -> SuperOperator:
@@ -299,59 +299,44 @@ def frame_operator(basis: MeasureBasis) -> SuperOperator:
     return SuperOperator(C.T @ C, basis.dim)
 
 
-def rescaled_frame_operator(basis: MeasureBasis,
-                            weight_tol: float = 1e-12) -> SuperOperator:
+def rescaled_frame_operator(basis: MeasureBasis) -> SuperOperator:
     """Frame operator of the weight-rescaled elements L_i / sqrt(l_i):
     X -> sum_i (tr(X L_i) / l_i) L_i.
 
     Fixes the identity, is trace-preserving, and for a MIC acts as the
     entanglement-breaking MIC channel. Requires strictly positive weights.
     """
-    w = _positive_weights(basis, "the rescaled frame operator", weight_tol)
+    w = _positive_weights(basis, "the rescaled frame operator")
     C = basis.coords
     return SuperOperator(C.T @ (C / w[:, None]), basis.dim)
 
 
-def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Square root of the Born matrix with all-positive eigenvalues:
-    A^{1/2} (A^{1/2} G^{-1} A^{1/2})^{1/2} A^{-1/2}.
-
-    The inner factor equals (A^{-1/2} G A^{-1/2})^{-1/2}, which needs only
-    one spectral decomposition of the uninverted matrix; that is noticeably
-    more accurate than inverting G first, and Phi itself is never formed.
-    """
-    rw = np.sqrt(weights)
-    vals, vecs = np.linalg.eigh(G / np.outer(rw, rw))
-    condition = vals[-1] / vals[0] if vals[0] > 0 else np.inf
-    if condition > MAX_GRAM_CONDITION:
-        raise SingularOperatorError(
-            f"Born-matrix square root is singular (condition {condition:.3e}); "
-            "basis too close to linear dependence"
-        )
-    inner_root = (vecs / np.sqrt(vals)) @ vecs.T
-    inner_root = (inner_root + inner_root.T) / 2
-    return inner_root * np.outer(rw, 1.0 / rw)
+def _born_power(basis: MeasureBasis, p: int) -> np.ndarray:
+    """A^{1/2} U Sigma^{-p} U^T A^{-1/2} from the cached Loewdin SVD
+    A^{-1/2} C = U Sigma V^T: the Born matrix for p = 2, its principal
+    square root for p = 1. No new factorization."""
+    U, s, _ = basis._lowdin
+    inner = (U / s**p) @ U.T
+    inner = (inner + inner.T) / 2
+    rw = np.sqrt(basis.weights)
+    return inner * np.outer(rw, 1.0 / rw)
 
 
 @dataclass
 class BornMatrix:
     """Column-quasistochastic matrix Phi = A G^{-1} converting reference
     probabilities into the quasiprobabilities of the Born-rule analog of
-    the law of total probability."""
+    the law of total probability, with its principal square root
+    ``phi_sqrt`` (all eigenvalues positive; also column quasistochastic
+    and fixing the weight vector)."""
 
     phi: np.ndarray
+    phi_sqrt: np.ndarray
     weights: np.ndarray
-    gram: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.phi.shape[0]
-
-    @cached_property
-    def phi_sqrt(self) -> np.ndarray:
-        """Principal square root of Phi (all eigenvalues positive); also
-        column quasistochastic and fixes the weight vector."""
-        return _born_sqrt(self.gram, self.weights)
 
     def column_sum_residual(self) -> float:
         return float(np.max(np.abs(self.phi.sum(axis=0) - 1.0)))
@@ -360,14 +345,12 @@ class BornMatrix:
         return float(np.max(np.abs(self.phi @ self.weights - self.weights)))
 
 
-def born_matrix(basis: MeasureBasis,
-                weight_tol: float = 1e-12) -> BornMatrix:
-    """Born matrix Phi = A G^{-1} of a measure basis with positive weights.
+def born_matrix(basis: MeasureBasis) -> BornMatrix:
+    """Born matrix Phi = A G^{-1} of a measure basis with positive weights,
+    and its principal square root, both from the cached Loewdin SVD.
 
     Columns sum to one, the weight vector is a fixed point, and for a MIC
     at least one entry is strictly negative.
     """
-    w = _positive_weights(basis, "the Born matrix", weight_tol)
-    G = gram(basis)
-    phi = w[:, None] * _inv_gram(G)
-    return BornMatrix(phi=phi, weights=w.copy(), gram=G)
+    return BornMatrix(phi=_born_power(basis, 2), phi_sqrt=_born_power(basis, 1),
+                      weights=basis.weights.copy())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, constructions, representations, serialize
 from .bases import MeasureBasis, born_matrix
-from .wigner import principal_wigner, sqrt_born, shifted
+from .wigner import principal_wigner, shifted
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -214,8 +214,7 @@ def _verify_collinear(args) -> int:
     d, n = L.dim, len(L)
     pw = principal_wigner(L).basis
     spw = shifted(pw)
-    phi = born_matrix(L).phi
-    sphi = sqrt_born(L)
+    born = born_matrix(L)
     AJ = np.outer(L.weights, np.ones(n))
     clauses = []
     for t in ts:
@@ -226,16 +225,16 @@ def _verify_collinear(args) -> int:
         target = pw if t > 0 else spw
         dev = float(np.max(np.abs(pw_t.elements - target.elements)))
         clauses.append(_clause(f"pw_match[t={t:g}]", dev, pw_tol))
-        phi_t = born_matrix(Lt).phi
-        pred = phi / t**2 + (1 - 1 / t**2) * AJ / d
+        born_t = born_matrix(Lt)
+        pred = born.phi / t**2 + (1 - 1 / t**2) * AJ / d
         clauses.append(_clause(
             f"phi_identity[t={t:g}]",
-            float(np.max(np.abs(phi_t - pred))), identity_tol,
+            float(np.max(np.abs(born_t.phi - pred))), identity_tol,
         ))
-        pred_s = sphi / abs(t) + (1 - 1 / abs(t)) * AJ / d
+        pred_s = born.phi_sqrt / abs(t) + (1 - 1 / abs(t)) * AJ / d
         clauses.append(_clause(
             f"sqrt_phi_identity[t={t:g}]",
-            float(np.max(np.abs(sqrt_born(Lt) - pred_s))), identity_tol,
+            float(np.max(np.abs(born_t.phi_sqrt - pred_s))), identity_tol,
         ))
     return _finish_verify("collinear", clauses)
 
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pw.add_argument("--in", dest="infile", required=True)
     p_pw.add_argument("--shifted", action="store_true")
     p_pw.add_argument("--out", required=True)
-    p_pw.add_argument("--tol", type=float, default=None)
     p_pw.set_defaults(func=_cmd_pw)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -228,8 +228,7 @@ def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
     return MeasureBasis(elements, label=f"{basis.label} ^ t={t:g}")
 
 
-def mic_t_range(basis: MeasureBasis,
-                weight_tol: float = 1e-12) -> tuple[float, float]:
+def mic_t_range(basis: MeasureBasis) -> tuple[float, float]:
     """The closed interval of t (excluding 0) for which collinear(basis, t)
     is a MIC: [max_i 1/(1 - d lmax_i), min_i 1/(1 - d lmin_i)] with
     lmax_i, lmin_i the extreme eigenvalues of L_i / l_i.
@@ -237,7 +236,7 @@ def mic_t_range(basis: MeasureBasis,
     An element proportional to I/d constrains nothing and contributes
     -inf / +inf to the corresponding side.
     """
-    w = _positive_weights(basis, "the t-range", weight_tol)
+    w = _positive_weights(basis, "the t-range")
     d = basis.dim
     eps = 1e-12
     eigs = np.linalg.eigvalsh(basis.elements / w[:, None, None])

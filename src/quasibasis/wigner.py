@@ -5,13 +5,13 @@ it.
 
 The orthogonalization F_i = S_L^{-1/2}(L_i) (inverse square root of the
 rescaled frame operator, applied elementwise) is the symmetric (Loewdin)
-orthogonalization of the rescaled elements L_i / sqrt(l_i). It is computed
-along two routes that rest on different factorizations and is
-cross-checked: the polar factor of the rescaled coordinate matrix, from one
-SVD cached on the basis, and the linear combination
-F_i = sum_j [sqrt(Phi)]_ij L_j, from one eigendecomposition of
-A^{-1/2} G A^{-1/2}. Their agreement is the strongest internal consistency
-check available.
+orthogonalization of the rescaled elements L_i / sqrt(l_i). Its result is
+the polar factor of the rescaled coordinate matrix, from the one SVD cached
+on the basis, which also gives sqrt(Phi) and Phi. principal_wigner
+cross-checks it against the linear combination F_i = sum_j [sqrt(Phi)]_ij L_j
+with sqrt(Phi) taken from an eigendecomposition of A^{-1/2} G A^{-1/2}
+instead: two routes on different factorizations, the strongest internal
+consistency check available. Nothing else uses that eigendecomposition.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import (
+    MAX_GRAM_CONDITION,
     MeasureBasis,
     VALIDATION_TOL,
-    _born_sqrt,
-    _positive_weights,
+    _born_power,
     gram,
 )
 from .constructions import collinear
-from .operators import coords_to_op
+from .operators import SingularOperatorError, coords_to_op
 
 CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
@@ -40,9 +40,9 @@ def sqrt_born(basis: MeasureBasis) -> np.ndarray:
 
     Squares to Phi, has columns summing to one, and fixes the weight
     vector; its rows are the expansion coefficients of the principal
-    Wigner basis in the measure basis.
+    Wigner basis in the measure basis. Taken from the cached Loewdin SVD.
     """
-    return _born_sqrt(gram(basis), _positive_weights(basis, "the Born matrix"))
+    return _born_power(basis, 1)
 
 
 @dataclass
@@ -60,30 +60,49 @@ class PWResult:
     cross_error: float
 
 
-def principal_wigner(basis: MeasureBasis,
-                     cross_tol: float = CROSS_CHECK_TOL) -> PWResult:
+def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Square root of the Born matrix with all-positive eigenvalues:
+    A^{1/2} (A^{1/2} G^{-1} A^{1/2})^{1/2} A^{-1/2}, from one eigh of
+    A^{-1/2} G A^{-1/2}. Used only by principal_wigner's cross-check, which
+    needs a factorization independent of the cached SVD.
+    """
+    rw = np.sqrt(weights)
+    vals, vecs = np.linalg.eigh(G / np.outer(rw, rw))
+    condition = vals[-1] / vals[0] if vals[0] > 0 else np.inf
+    if condition > MAX_GRAM_CONDITION:
+        raise SingularOperatorError(
+            f"Born-matrix square root is singular (condition {condition:.3e}); "
+            "basis too close to linear dependence"
+        )
+    inner_root = (vecs / np.sqrt(vals)) @ vecs.T
+    inner_root = (inner_root + inner_root.T) / 2
+    return inner_root * np.outer(rw, 1.0 / rw)
+
+
+def principal_wigner(basis: MeasureBasis) -> PWResult:
     """The principal Wigner basis of a measure basis with positive weights:
     the image of each element under the inverse square root of the rescaled
     frame operator.
 
     The output is a Wigner basis with the same bias, built from the polar
     factor A^{1/2} U V^T of the rescaled coordinates A^{-1/2} C = U Sigma V^T.
-    Raises if the square-root Born route disagrees beyond cross_tol or if
-    the output fails Wigner validation.
+    Raises if the square-root Born route disagrees beyond CROSS_CHECK_TOL or
+    if the output fails Wigner validation.
     """
     U, _, Vt = basis._lowdin
     polar = np.sqrt(basis.weights)[:, None] * (U @ Vt)
     via_polar = coords_to_op(polar, basis.dim)
 
     via_sqrtphi = np.einsum(
-        "ij,jab->iab", sqrt_born(basis), basis.elements, optimize=True
+        "ij,jab->iab", _born_sqrt(gram(basis), basis.weights), basis.elements,
+        optimize=True,
     )
 
     cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
-    if cross_error > cross_tol:
+    if cross_error > CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"principal-Wigner routes disagree: cross error {cross_error:.3e} "
-            f"> {cross_tol:.1e}"
+            f"> {CROSS_CHECK_TOL:.1e}"
         )
 
     out = MeasureBasis(via_polar, label=f"PW({basis.label})")

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from quasibasis.cli import main
-from quasibasis.constructions import builtin_sic, sic_gram, wootters_wigner
+from quasibasis.constructions import (
+    builtin_sic,
+    random_unbiased_mic,
+    sic_gram,
+    wootters_wigner,
+)
 from quasibasis.serialize import read_basis, write_basis, write_fiducial, write_state
 from quasibasis.bases import gram
 
@@ -145,6 +150,17 @@ def test_pw_shifted(tmp_path, capsys):
     np.testing.assert_allclose(read_basis(out).elements, expected, atol=1e-12)
 
 
+def test_pw_rejects_tol_flag(tmp_path, capsys):
+    # pw has no tolerance to override; the flag is an argparse usage error
+    sic = tmp_path / "sic2.json"
+    write_basis(builtin_sic(2), sic)
+    with pytest.raises(SystemExit) as exc:
+        main(["pw", "--in", str(sic), "--out", str(tmp_path / "pw.json"),
+              "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
 def test_verify_theorems_pass_on_sic(tmp_path, capsys, suite):
     sic = tmp_path / "sic2.json"
@@ -192,6 +208,17 @@ def test_verify_collinear_fails_with_absurd_tol(tmp_path, capsys):
     )
     assert code == 1 and doc["status"] == "error"
     assert not doc["payload"]["passed"]
+
+
+def test_verify_collinear_conditioned_unbiased_mic(tmp_path, capsys):
+    # Gram condition ~4e3, max |Phi| ~1.3e3: Phi and sqrt(Phi) from the
+    # cached SVD meet the default absolute 1e-9 identity tolerance
+    path = tmp_path / "umic4.json"
+    write_basis(random_unbiased_mic(4, 1), path)
+    code, doc = run_json(
+        capsys, "verify", "collinear", "--in", str(path), "--t", "0.5,-0.5"
+    )
+    assert code == 0 and doc["payload"]["passed"]
 
 
 def test_verify_triple_wootters_with_csv(tmp_path, capsys):
