@@ -21,6 +21,7 @@ import numpy as np
 
 from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, gram
 from .constructions import sic_gram_deviation, wh_displacement
+from .operators import _flat
 from .wigner import _greedy_match, principal_wigner, shifted
 
 SATURATION_TOL = 1e-9
@@ -32,8 +33,8 @@ def distance(left: MeasureBasis, right: MeasureBasis) -> float:
     sum_i tr((L_i - M_i)^2)."""
     if left.dim != right.dim or len(left) != len(right):
         raise ValueError("shape mismatch between bases")
-    diff = left.elements - right.elements
-    return float(np.einsum("nij,nji->", diff, diff).real)
+    x = _flat(left.elements - right.elements).ravel()
+    return float(x @ x)
 
 
 @dataclass

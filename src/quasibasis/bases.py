@@ -20,6 +20,8 @@ import numpy as np
 from .operators import (
     SingularOperatorError,
     SuperOperator,
+    _flat,
+    _mix,
     as_hermitian,
     op_to_coords,
 )
@@ -163,7 +165,9 @@ class MeasureBasis:
 
 
 def _gram_of(elements: np.ndarray) -> np.ndarray:
-    G = np.einsum("aij,bji->ab", elements, elements, optimize=True).real
+    """G_ab = tr(E_a E_b) of a Hermitian stack, as X X^T with X = _flat(E)."""
+    X = _flat(elements)
+    G = X @ X.T
     return (G + G.T) / 2
 
 
@@ -286,7 +290,7 @@ def dual_basis(basis) -> np.ndarray:
             f"Gram matrix numerically singular (condition "
             f"{np.inf if vals[0] <= 0 else vals[-1] / vals[0]:.3e})"
         )
-    return np.einsum("ij,jab->iab", (vecs / vals) @ vecs.T, elements)
+    return _mix((vecs / vals) @ vecs.T, elements)
 
 
 def frame_operator(basis: MeasureBasis) -> SuperOperator:

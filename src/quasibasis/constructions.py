@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bases import BasisValidationError, MeasureBasis, _gram_of, _positive_weights
-from .operators import mat_func_psd
+from .operators import _mix, mat_func_psd
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -339,7 +339,7 @@ def random_unbiased_wigner(d: int, seed: int) -> MeasureBasis:
     start = composite_wootters(prime_factors(d))
     rng = np.random.default_rng(seed)
     O = _orthogonal_fixing_ones(rng, d * d)
-    elements = np.einsum("ij,jab->iab", O, start.elements)
+    elements = _mix(O, start.elements)
     return MeasureBasis(
         elements, label=f"random unbiased Wigner d={d} seed={seed}"
     )

@@ -6,6 +6,15 @@ space of Hermitian d x d operators) are stored as real matrices in a fixed
 orthonormal Hermitian basis whose first element is I/sqrt(d); every map we
 care about is Hermiticity-preserving and self-adjoint, so its matrix is real
 symmetric and functional calculus reduces to a real eigendecomposition.
+
+Hilbert-Schmidt contractions run on real views. A contiguous complex
+(n, d, d) stack E is, through _flat, the real (n, 2 d^2) matrix holding the
+real and imaginary parts of each element's entries, and for Hermitian B,
+tr(AB) = Re <vec B, vec A> = _flat(B) . _flat(A) for any A. So herm_onb
+coordinates (_flat(A) M^T with M = _flat(herm_onb(d))), their inverse
+(v M, read back as complex), Gram matrices (X X^T with X = _flat(E)) and
+real linear combinations of elements (c X, read back as complex) are each
+one real matrix product.
 """
 
 from __future__ import annotations
@@ -30,6 +39,15 @@ class SingularOperatorError(ValueError):
     """Operator (or matrix) is singular where an inverse is required."""
 
 
+def _flat(E) -> np.ndarray:
+    """Real view of a complex (..., d, d) array as (..., 2 d^2): each matrix
+    becomes one row holding the real and imaginary parts of its entries,
+    so Re tr(A^dag B) = _flat(A) . _flat(B). Copies only a non-contiguous
+    or non-complex input."""
+    E = np.ascontiguousarray(E, dtype=complex)
+    return E.reshape(E.shape[:-2] + (-1,)).view(float)
+
+
 def as_hermitian(A, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Symmetrize A, or each matrix of an (n, d, d) stack, to (A + A^dag)/2,
     rejecting if the asymmetry exceeds ``rtol`` times the norm of A.
@@ -41,8 +59,10 @@ def as_hermitian(A, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix or stack, got shape {A.shape}")
     herm = (A + np.swapaxes(A, -1, -2).conj()) / 2
-    asym = np.linalg.norm(A - herm, axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)), 1.0)
+    # Frobenius norms as row norms of the real views
+    k, a = _flat(A - herm), _flat(A)
+    asym = np.sqrt(np.einsum("...i,...i->...", k, k))
+    scale = np.maximum(np.sqrt(np.einsum("...i,...i->...", a, a)), 1.0)
     if np.any(asym > rtol * scale):
         i = np.argmax(asym / scale)  # the worst element of a stack
         raise NonHermitianError(
@@ -152,18 +172,36 @@ def herm_onb(d: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=32)
+def _onb_flat(d: int) -> np.ndarray:
+    """_flat(herm_onb(d)), shape (d^2, 2 d^2), read-only."""
+    M = _flat(herm_onb(d))
+    M.setflags(write=False)
+    return M
+
+
+def _mix(c, E) -> np.ndarray:
+    """Linear combinations sum_j c_ij E_j of a complex (n, d, d) stack with
+    a real (m, n) coefficient matrix, as one real matrix product."""
+    E = np.asarray(E)
+    out = np.asarray(c, dtype=float) @ _flat(E)
+    return out.view(complex).reshape(out.shape[:-1] + E.shape[-2:])
+
+
 def op_to_coords(A, d: int | None = None) -> np.ndarray:
     """Real coordinate vector of a Hermitian operator in the herm_onb basis;
     for an (n, d, d) stack, one row per operator.
 
     The map is a linear isometry: hs_inner becomes the Euclidean dot product.
+    Coordinate a is Re tr(B_a A), so a non-Hermitian A maps to the
+    coordinates of its Hermitian part.
     """
     A = np.asarray(A, dtype=complex)
     if d is None:
         d = A.shape[-1]
     if A.ndim not in (2, 3) or A.shape[-2:] != (d, d):
         raise ValueError(f"dimension mismatch: {A.shape} vs d={d}")
-    return np.einsum("aij,...ji->...a", herm_onb(d), A, optimize=True).real
+    return _flat(A) @ _onb_flat(d).T
 
 
 def coords_to_op(v, d: int) -> np.ndarray:
@@ -171,7 +209,7 @@ def coords_to_op(v, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got shape {v.shape}")
-    return np.einsum("...a,aij->...ij", v, herm_onb(d), optimize=True)
+    return (v @ _onb_flat(d)).view(complex).reshape(v.shape[:-1] + (d, d))
 
 
 class SuperOperator:

@@ -28,7 +28,7 @@ from .bases import (
     gram,
 )
 from .constructions import collinear
-from .operators import SingularOperatorError, coords_to_op
+from .operators import SingularOperatorError, _mix, coords_to_op
 
 CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
@@ -45,13 +45,14 @@ def sqrt_born(basis: MeasureBasis) -> np.ndarray:
     return _born_power(basis, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PWResult:
     """Principal Wigner basis along with both computation routes.
 
     ``basis`` is the validated Wigner basis; ``via_polar`` and
-    ``via_sqrtphi`` are the raw element stacks from the two routes, and
-    ``cross_error`` their max elementwise deviation.
+    ``via_sqrtphi`` are the raw element stacks from the two routes
+    (read-only), and ``cross_error`` their max elementwise deviation.
+    The input basis keeps its result, so every caller shares one instance.
     """
 
     basis: MeasureBasis
@@ -87,16 +88,17 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     The output is a Wigner basis with the same bias, built from the polar
     factor A^{1/2} U V^T of the rescaled coordinates A^{-1/2} C = U Sigma V^T.
     Raises if the square-root Born route disagrees beyond CROSS_CHECK_TOL or
-    if the output fails Wigner validation.
+    if the output fails Wigner validation. Computed once per basis: later
+    calls return the stored result.
     """
+    cached = basis.__dict__.get("_principal_wigner")
+    if cached is not None:
+        return cached
     U, _, Vt = basis._lowdin
     polar = np.sqrt(basis.weights)[:, None] * (U @ Vt)
     via_polar = coords_to_op(polar, basis.dim)
 
-    via_sqrtphi = np.einsum(
-        "ij,jab->iab", _born_sqrt(gram(basis), basis.weights), basis.elements,
-        optimize=True,
-    )
+    via_sqrtphi = _mix(_born_sqrt(gram(basis), basis.weights), basis.elements)
 
     cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
     if cross_error > CROSS_CHECK_TOL:
@@ -116,12 +118,16 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     bias_dev = float(np.max(np.abs(out.weights - basis.weights)))
     if bias_dev > VALIDATION_TOL:
         raise ArithmeticError(f"bias not preserved (deviation {bias_dev:.3e})")
-    return PWResult(
+    via_polar.setflags(write=False)
+    via_sqrtphi.setflags(write=False)
+    result = PWResult(
         basis=out,
         via_polar=via_polar,
         via_sqrtphi=via_sqrtphi,
         cross_error=cross_error,
     )
+    basis.__dict__["_principal_wigner"] = result
+    return result
 
 
 def shifted(basis: MeasureBasis) -> MeasureBasis:

@@ -212,13 +212,52 @@ def test_verify_collinear_fails_with_absurd_tol(tmp_path, capsys):
 
 def test_verify_collinear_conditioned_unbiased_mic(tmp_path, capsys):
     # Gram condition ~4e3, max |Phi| ~1.3e3: Phi and sqrt(Phi) from the
-    # cached SVD meet the default absolute 1e-9 identity tolerance
+    # cached SVD meet the 1e-9 identity tolerance even without its scaling
     path = tmp_path / "umic4.json"
     write_basis(random_unbiased_mic(4, 1), path)
     code, doc = run_json(
         capsys, "verify", "collinear", "--in", str(path), "--t", "0.5,-0.5"
     )
     assert code == 0 and doc["payload"]["passed"]
+
+
+def test_verify_collinear_identity_tolerance_scales_with_phi(tmp_path, capsys):
+    # Gram condition 6.4e5, max |Phi(L^t)| 5.4e5: the Phi identity holds
+    # to ~1e-13 relative, beyond an absolute 1e-9 but within
+    # 1e-9 * max |pred|
+    path = tmp_path / "umic4.json"
+    write_basis(random_unbiased_mic(4, 4), path)
+    code, doc = run_json(
+        capsys, "verify", "collinear", "--in", str(path), "--t", "0.5,-0.5"
+    )
+    assert code == 0 and doc["payload"]["passed"]
+
+
+def test_verify_collinear_catches_relative_phi_error(tmp_path, capsys,
+                                                      monkeypatch):
+    import dataclasses
+
+    import quasibasis.cli as cli
+
+    path = tmp_path / "umic4.json"
+    write_basis(random_unbiased_mic(4, 4), path)
+    calls = [0]
+    real_born_matrix = cli.born_matrix
+
+    def perturbed(basis):
+        born = real_born_matrix(basis)
+        calls[0] += 1
+        if calls[0] == 1:  # Phi(L) itself, which the prediction uses
+            return born
+        return dataclasses.replace(born, phi=born.phi * (1 + 1e-7))
+
+    monkeypatch.setattr(cli, "born_matrix", perturbed)
+    code, doc = run_json(
+        capsys, "verify", "collinear", "--in", str(path), "--t", "0.5,-0.5"
+    )
+    assert code == 1 and calls[0] == 3
+    failed = {c["name"] for c in doc["payload"]["clauses"] if not c["pass"]}
+    assert failed == {"phi_identity[t=0.5]", "phi_identity[t=-0.5]"}
 
 
 def test_verify_triple_wootters_with_csv(tmp_path, capsys):

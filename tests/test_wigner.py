@@ -145,12 +145,18 @@ def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
     L = MeasureBasis(raw)
     assert validations == [1]
     calls.clear()
-    principal_wigner(L)
+    res = principal_wigner(L)
     # one SVD (polar route) and one eigh (sqrt(Phi) route), plus the single
     # validation of the output basis
     assert sorted(name for name, in_validate in calls if not in_validate) \
         == ["eigh", "svd"]
     assert validations == [2]
+    # a second call returns the stored, read-only result and redoes nothing
+    calls.clear()
+    assert principal_wigner(L) is res
+    assert calls == [] and validations == [2]
+    assert not (res.via_polar.flags.writeable
+                or res.via_sqrtphi.flags.writeable)
     # Phi and sqrt(Phi) reuse the cached SVD
     calls.clear()
     born_matrix(L)
