@@ -12,11 +12,9 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .operators import (  # noqa: E402
-    SpectralDecomposition,
     SuperOperator,
     as_hermitian,
     coords_to_op,
-    eig_hermitian,
     herm_onb,
     hs_inner,
     mat_func_psd,

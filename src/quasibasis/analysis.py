@@ -26,6 +26,9 @@ from .wigner import _greedy_match, principal_wigner, shifted
 
 SATURATION_TOL = 1e-9
 MATCH_TOL = 1e-8
+# Memory allowed to one triple-product tensor plus its E_j E_k stack,
+# 32 d^6 bytes for a basis: admits d <= 14.
+TRIPLE_BYTES_BUDGET = 2**28
 
 
 def distance(left: MeasureBasis, right: MeasureBasis) -> float:
@@ -104,7 +107,7 @@ def ceiling_negativity(wigner_basis: MeasureBasis) -> float:
 
     The state maximization is achieved at the eigenstate of the most
     negative element eigenvalue, so the value is spectrally exact; see
-    ceiling_negativity_sampled for an independent stochastic check.
+    ceiling_negativity_sampled for an eigensolver-free check.
     """
     cls = wigner_basis.classify()
     if not cls.is_wigner:
@@ -115,8 +118,16 @@ def ceiling_negativity(wigner_basis: MeasureBasis) -> float:
 def ceiling_negativity_sampled(wigner_basis: MeasureBasis,
                                n_samples: int = 10_000,
                                seed: int = 0) -> float:
-    """Monte-Carlo lower estimate of the ceiling negativity from Haar
-    random pure states."""
+    """Lower estimate of the ceiling negativity from pure states alone.
+
+    Haar random kets are the starting points; each element's best one is
+    refined by 100 steps of power iteration on c I - F_i, where c =
+    ||F_i||_F is at least the spectral radius, so the iteration converges
+    to the eigenvector of the smallest eigenvalue of F_i. Matrix-vector
+    products only, no eigensolver. The result is the negativity of a real
+    state, less a rounding bound, so it never exceeds ceiling_negativity.
+    """
+    F = wigner_basis.elements
     d = wigner_basis.dim
     rng = np.random.default_rng(seed)
     kets = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal(
@@ -124,8 +135,18 @@ def ceiling_negativity_sampled(wigner_basis: MeasureBasis,
     )
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     # w[s, i] = <psi_s| F_i |psi_s>
-    w = np.einsum("sa,iab,sb->si", kets.conj(), wigner_basis.elements, kets).real
-    return max(0.0, float(-w.min()))
+    w = np.einsum("sa,iab,sb->si", kets.conj(), F, kets).real
+    v = kets[np.argmin(w, axis=0)]  # (n, d): the best start of each element
+    c = np.linalg.norm(F, axis=(1, 2))[:, None]
+    for _ in range(100):
+        v = c * v - (F @ v[:, :, None])[:, :, 0]
+        v /= np.linalg.norm(v, axis=1)[:, None]
+    rayleigh = np.einsum("ia,iab,ib->i", v.conj(), F, v).real
+    # A converged quotient sits at the eigenvalue to within rounding, on
+    # either side; raising it by a bound on that rounding keeps the
+    # estimate at or below the spectral value in floating point too.
+    rayleigh += d * d * np.finfo(float).eps * c[:, 0]
+    return max(0.0, float(-rayleigh.min()))
 
 
 @dataclass
@@ -157,18 +178,30 @@ class TripleProducts:
         return float(np.max(np.abs(self.gamma.sum(axis=(1, 2)) - target)))
 
 
-def triple_products(basis: MeasureBasis, force: bool = False) -> TripleProducts:
-    """Full triple-product tensor. Guarded above d=5 (d^6 complex entries)
-    unless force=True."""
-    d = basis.dim
-    if d > 5 and not force:
-        raise MemoryError(
-            f"triple products store d^6 = {d**6} complex entries for d={d}; "
-            "pass force=True to compute anyway"
+def _triple_tensor(E: np.ndarray) -> np.ndarray:
+    """Gamma_jkl = d^2 tr(E_j E_k E_l) of an (n, d, d) Hermitian stack as one
+    complex matrix product: the products E_j E_k, stacked as (n^2, d^2),
+    times the transposes E_l^T, stacked as (d^2, n), since tr(P Q) =
+    sum_ab P_ab (Q^T)_ab. Raises ValueError, before allocating, when the
+    tensor and the E_j E_k stack together exceed TRIPLE_BYTES_BUDGET."""
+    n, d, _ = E.shape
+    nbytes = 16 * n * n * (n + d * d)
+    if nbytes > TRIPLE_BYTES_BUDGET:
+        raise ValueError(
+            f"triple products at d={d} need {nbytes} bytes, over the "
+            f"{TRIPLE_BYTES_BUDGET}-byte budget"
         )
-    F = basis.elements
-    gamma = d * d * np.einsum("jab,kbc,lca->jkl", F, F, F)
-    return TripleProducts(dim=d, gamma=gamma)
+    pairs = (E[:, None] @ E[None, :]).reshape(n * n, d * d)
+    lasts = E.transpose(0, 2, 1).reshape(n, d * d)
+    gamma = pairs @ lasts.T
+    gamma *= d * d
+    return gamma.reshape(n, n, n)
+
+
+def triple_products(basis: MeasureBasis) -> TripleProducts:
+    """Full triple-product tensor, d^6 complex entries; bases whose tensor
+    would exceed TRIPLE_BYTES_BUDGET (d >= 15) raise ValueError."""
+    return TripleProducts(dim=basis.dim, gamma=_triple_tensor(basis.elements))
 
 
 def affine_area(d: int, j: int, k: int, l: int) -> int:
@@ -186,18 +219,14 @@ def affine_area(d: int, j: int, k: int, l: int) -> int:
 
 
 def wootters_triple_oracle(d: int) -> np.ndarray:
-    """Brute-force prediction (1/d) exp(4 pi i A_jkl / d) of the Wootters
-    triple products from the affine-plane geometry alone; independent of
-    any operator arithmetic."""
-    n = d * d
-    pred = np.empty((n, n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            for l in range(n):
-                pred[j, k, l] = np.exp(
-                    4j * np.pi * affine_area(d, j, k, l) / d
-                ) / d
-    return pred
+    """Prediction (1/d) exp(4 pi i A_jkl / d) of the Wootters triple
+    products from the affine-plane geometry alone, affine_area broadcast
+    over all index triples; independent of any operator arithmetic."""
+    r = np.arange(d * d)
+    j, k, l = np.ix_(r, r, r)
+    (qj, pj), (qk, pk), (ql, pl) = divmod(j, d), divmod(k, d), divmod(l, d)
+    area = (qj * pk - pj * qk) + (qk * pl - pk * ql) + (ql * pj - pl * qj)
+    return np.exp(4j * np.pi * (area % d) / d) / d
 
 
 def sic_triple_relation_check(sic: MeasureBasis, sign: int,
@@ -224,10 +253,8 @@ def sic_triple_relation_check(sic: MeasureBasis, sign: int,
     if sign < 0:
         F = shifted(F)
     s = sign * np.sqrt(d + 1.0)
-    lhs = d**3 * np.einsum(
-        "jab,kbc,lca->jkl", F.elements, F.elements, F.elements
-    )
-    tri = np.einsum("jab,kbc,lca->jkl", projectors, projectors, projectors)
+    lhs = d * _triple_tensor(F.elements)
+    tri = _triple_tensor(projectors) / d**2
     delta = np.eye(d * d)
     delta_sum = (
         delta[:, :, None] + delta[None, :, :] + delta[:, None, :]

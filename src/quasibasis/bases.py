@@ -294,7 +294,8 @@ def dual_basis(basis) -> np.ndarray:
 
 
 def frame_operator(basis: MeasureBasis) -> SuperOperator:
-    """The map X -> sum_i tr(X L_i) L_i as a SuperOperator.
+    """The map X -> sum_i tr(X L_i) L_i as a SuperOperator, which offers
+    only its coordinate ``matrix`` and ``apply``.
 
     Self-adjoint; shares its nonzero spectrum with the Gram matrix (for a
     basis the two are isospectral).
@@ -305,7 +306,9 @@ def frame_operator(basis: MeasureBasis) -> SuperOperator:
 
 def rescaled_frame_operator(basis: MeasureBasis) -> SuperOperator:
     """Frame operator of the weight-rescaled elements L_i / sqrt(l_i):
-    X -> sum_i (tr(X L_i) / l_i) L_i.
+    X -> sum_i (tr(X L_i) / l_i) L_i, as a SuperOperator with only
+    ``matrix`` and ``apply``. Its roots S_L^{+-1/2} = V Sigma^{+-1} V^T come
+    from the cached Loewdin SVD, not from this matrix.
 
     Fixes the identity, is trace-preserving, and for a MIC acts as the
     entanglement-breaking MIC channel. Requires strictly positive weights.

@@ -1,11 +1,9 @@
-"""Hermitian operator algebra: inner products, spectral calculus, operator
-coordinates, and superoperator matrices.
+"""Hermitian operator algebra: inner products, operator coordinates, and
+frame-operator matrices.
 
 Operators are plain complex ndarrays. Superoperators (linear maps on the
 space of Hermitian d x d operators) are stored as real matrices in a fixed
-orthonormal Hermitian basis whose first element is I/sqrt(d); every map we
-care about is Hermiticity-preserving and self-adjoint, so its matrix is real
-symmetric and functional calculus reduces to a real eigendecomposition.
+orthonormal Hermitian basis whose first element is I/sqrt(d).
 
 Hilbert-Schmidt contractions run on real views. A contiguous complex
 (n, d, d) stack E is, through _flat, the real (n, 2 d^2) matrix holding the
@@ -20,7 +18,6 @@ one real matrix product.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,34 +78,18 @@ def hs_inner(A, B) -> float:
     return float(np.einsum("ij,ji->", A, B).real)
 
 
-def hs_norm_sq(A) -> float:
-    """Squared Hilbert-Schmidt norm tr(A^2) of a Hermitian operator."""
-    return hs_inner(A, A)
-
-
-class SpectralDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary; column k pairs with eigenvalue k
-
-
-def eig_hermitian(A, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, ascending eigenvalues."""
-    A = as_hermitian(A, rtol)
-    vals, vecs = np.linalg.eigh(A)
-    return SpectralDecomposition(vals, vecs)
-
-
 def mat_func_psd(A, f, clip: float | None = None) -> np.ndarray:
-    """Apply a scalar function to a Hermitian (or real symmetric) matrix via
-    its eigendecomposition, V f(Lambda) V^dag.
+    """Square root or inverse square root of a Hermitian (or real symmetric)
+    matrix via its eigendecomposition, V f(Lambda) V^dag.
 
-    ``f`` may be a callable, applied to raw eigenvalues, or one of the
-    strings "sqrt" / "inv_sqrt", which treat A as positive semidefinite up
+    ``f`` is "sqrt" or "inv_sqrt"; both treat A as positive semidefinite up
     to eigenvalue noise: eigenvalues below -clip raise (input is genuinely
     not PSD), eigenvalues in [-clip, clip] are clamped to 0 for "sqrt" and
     to clip for "inv_sqrt" (clip == 0 there means a true singularity and
     raises). Default clip is CLIP_RTOL * max|eigenvalue|.
     """
+    if f not in ("sqrt", "inv_sqrt"):
+        raise ValueError(f"unknown matrix function {f!r}")
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -116,30 +97,25 @@ def mat_func_psd(A, f, clip: float | None = None) -> np.ndarray:
     H = as_hermitian(A) if not real_input else as_hermitian(A).real
     vals, vecs = np.linalg.eigh(H)
 
-    if callable(f):
-        fvals = np.asarray([f(v) for v in vals], dtype=float)
-    elif f in ("sqrt", "inv_sqrt"):
-        if clip is None:
-            clip = CLIP_RTOL * max(np.max(np.abs(vals)), 1e-300)
-        if np.min(vals) < -clip:
-            raise ValueError(
-                f"matrix is not PSD: eigenvalue {np.min(vals):.3e} < -clip {-clip:.3e}"
-            )
-        if f == "sqrt":
-            fvals = np.sqrt(np.where(vals < clip, 0.0, vals))
-        else:
-            if np.max(vals) <= 0.0:
-                raise SingularOperatorError(
-                    "inverse square root of a non-positive matrix"
-                )
-            clipped = np.maximum(vals, clip)
-            if np.any(clipped == 0.0):
-                raise SingularOperatorError(
-                    "inverse square root of a singular matrix"
-                )
-            fvals = 1.0 / np.sqrt(clipped)
+    if clip is None:
+        clip = CLIP_RTOL * max(np.max(np.abs(vals)), 1e-300)
+    if np.min(vals) < -clip:
+        raise ValueError(
+            f"matrix is not PSD: eigenvalue {np.min(vals):.3e} < -clip {-clip:.3e}"
+        )
+    if f == "sqrt":
+        fvals = np.sqrt(np.where(vals < clip, 0.0, vals))
     else:
-        raise ValueError(f"unknown matrix function {f!r}")
+        if np.max(vals) <= 0.0:
+            raise SingularOperatorError(
+                "inverse square root of a non-positive matrix"
+            )
+        clipped = np.maximum(vals, clip)
+        if np.any(clipped == 0.0):
+            raise SingularOperatorError(
+                "inverse square root of a singular matrix"
+            )
+        fvals = 1.0 / np.sqrt(clipped)
 
     out = (vecs * fvals) @ vecs.conj().T
     out = (out + out.conj().T) / 2
@@ -225,42 +201,8 @@ class SuperOperator:
         self.matrix = matrix
         self.d = d
 
-    @classmethod
-    def from_action(cls, action: Callable[[np.ndarray], np.ndarray], d: int,
-                    rtol: float = HERMITICITY_RTOL) -> "SuperOperator":
-        """Probe a Hermiticity-preserving linear map on each basis element.
-
-        matrix[a, b] = hs_inner(B_a, action(B_b)); raises if any output
-        fails the Hermiticity check.
-        """
-        outs = as_hermitian(np.stack([action(B) for B in herm_onb(d)]), rtol)
-        return cls(op_to_coords(outs).T, d)
-
     def apply(self, X) -> np.ndarray:
         return coords_to_op(op_to_coords(X, self.d) @ self.matrix.T, self.d)
-
-    def compose(self, other: "SuperOperator") -> "SuperOperator":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return SuperOperator(self.matrix @ other.matrix, self.d)
-
-    def func(self, f, clip: float | None = None) -> "SuperOperator":
-        """Functional calculus of a self-adjoint superoperator.
-
-        Valid only when the matrix is symmetric (self-adjoint map under the
-        Hilbert-Schmidt inner product); asserts that before delegating to
-        mat_func_psd.
-        """
-        asym = np.linalg.norm(self.matrix - self.matrix.T)
-        if asym > HERMITICITY_RTOL * max(np.linalg.norm(self.matrix), 1.0):
-            raise ValueError(
-                f"superoperator matrix not symmetric (asymmetry {asym:.3e}); "
-                "functional calculus requires a self-adjoint map"
-            )
-        return SuperOperator(mat_func_psd(self.matrix, f, clip), self.d)
-
-    def is_symmetric(self, atol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.T)) <= atol)
 
     def __repr__(self):
         return f"SuperOperator(d={self.d})"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasibasis.analysis import (
+    _triple_tensor,
     affine_area,
     ceiling_negativity,
     ceiling_negativity_sampled,
@@ -22,6 +23,7 @@ from quasibasis.constructions import (
     random_mic,
     random_unbiased_mic,
     random_unbiased_wigner,
+    tensorhedron,
     wootters_wigner,
 )
 from quasibasis.wigner import principal_wigner, shifted
@@ -159,11 +161,18 @@ def test_triple_products_invariants():
 
 
 def test_triple_products_memory_guard():
-    with pytest.raises(MemoryError):
-        triple_products(random_unbiased_wigner(6, 0))
-    # force computes anyway
-    trip = triple_products(random_unbiased_wigner(6, 0), force=True)
+    trip = triple_products(random_unbiased_wigner(6, 0))
     assert trip.gamma.shape == (36, 36, 36)
+    # d = 16 needs 32 d^6 bytes = 2^29, twice the budget
+    with pytest.raises(ValueError, match="536870912 bytes"):
+        triple_products(tensorhedron(4))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_triple_kernel_matches_einsum(d):
+    F = random_unbiased_wigner(d, 1).elements
+    ref = d * d * np.einsum("jab,kbc,lca->jkl", F, F, F)
+    assert np.max(np.abs(_triple_tensor(F) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -171,6 +180,12 @@ def test_wootters_triples_match_affine_area(d):
     trip = triple_products(wootters_wigner(d))
     oracle = wootters_triple_oracle(d)
     assert np.max(np.abs(trip.gamma - oracle)) <= 1e-10
+    n = d * d
+    loop = np.array([
+        [[np.exp(4j * np.pi * affine_area(d, j, k, l) / d) / d
+          for l in range(n)] for k in range(n)] for j in range(n)
+    ])
+    assert np.array_equal(oracle, loop)
 
 
 def test_affine_area_basics():

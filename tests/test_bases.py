@@ -21,6 +21,7 @@ from quasibasis.constructions import (
     wootters_wigner,
 )
 from quasibasis.operators import SingularOperatorError, herm_onb
+from quasibasis.wigner import principal_wigner
 
 from conftest import SX, SY, SZ, random_hermitian
 
@@ -172,8 +173,39 @@ def test_frame_operator_isospectral_to_gram(basis_seed):
 
 def test_frame_operators_self_adjoint():
     basis = random_mic(3, 4)
-    assert frame_operator(basis).is_symmetric(1e-10)
-    assert rescaled_frame_operator(basis).is_symmetric(1e-10)
+    for S in (frame_operator(basis), rescaled_frame_operator(basis)):
+        assert np.max(np.abs(S.matrix - S.matrix.T)) <= 1e-10
+
+
+def test_frame_operator_apply_matches_action(rng):
+    basis = random_mic(3, 5)
+    S = frame_operator(basis)
+    for _ in range(3):
+        X = random_hermitian(3, rng)
+        action = sum(np.trace(X @ L).real * L for L in basis)
+        np.testing.assert_allclose(S.apply(X), action, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_sic(2),
+    lambda: random_mic(3, 4),
+    lambda: random_unbiased_mic(4, 2),
+    lambda: random_mic(6, 1),
+], ids=["sic2", "mic3", "unbiased4", "mic6"])
+def test_lowdin_svd_gives_rescaled_frame_root(build):
+    # A^{-1/2} C = U Sigma V^T, so S_L = (V Sigma V^T)^2 and S_L^{-1/2}
+    # = V Sigma^{-1} V^T maps the element coordinates to PW's.
+    basis = build()
+    _, s, Vt = basis._lowdin
+    root = (Vt.T * s) @ Vt
+    np.testing.assert_allclose(
+        root @ root, rescaled_frame_operator(basis).matrix, atol=1e-12
+    )
+    inv_root = (Vt.T / s) @ Vt
+    np.testing.assert_allclose(
+        basis.coords @ inv_root, principal_wigner(basis).basis.coords,
+        atol=1e-12,
+    )
 
 
 def test_born_matrix_qubit_sic_closed_form():

@@ -297,6 +297,16 @@ def test_verify_negativity(tmp_path, capsys):
     assert doc["payload"]["ceiling_negativity"] == pytest.approx(1 / 9, abs=1e-9)
 
 
+def test_verify_negativity_random_pw(tmp_path, capsys):
+    # Haar sampling alone falls 0.023 short of the spectral value here
+    from quasibasis.wigner import principal_wigner
+
+    path = tmp_path / "pw4.json"
+    write_basis(principal_wigner(random_unbiased_mic(4, 1)).basis, path)
+    code, doc = run_json(capsys, "verify", "negativity", "--in", str(path))
+    assert code == 0 and doc["status"] == "ok"
+
+
 def test_verify_negativity_rejects_mic(tmp_path, capsys):
     sic = tmp_path / "sic2.json"
     write_basis(builtin_sic(2), sic)
@@ -391,15 +401,27 @@ def test_pw_rejects_non_finite_entry(tmp_path, capsys):
     assert "element 2" in message and "non-finite" in message
 
 
-def test_verify_triple_above_d5_is_usage_error(tmp_path, capsys):
-    w6 = tmp_path / "w6.json"
+@pytest.mark.parametrize("d", [6, 12])
+def test_verify_triple_composite_wootters(tmp_path, capsys, d):
+    path = tmp_path / f"w{d}.json"
     code, _ = run_json(
-        capsys, "construct", "wootters", "--d", "6", "--out", str(w6)
+        capsys, "construct", "wootters", "--d", str(d), "--out", str(path)
     )
     assert code == 0
-    code, doc = run_json(capsys, "verify", "triple", "--in", str(w6))
+    code, doc = run_json(capsys, "verify", "triple", "--in", str(path))
+    assert code == 0 and doc["status"] == "ok"
+
+
+def test_verify_triple_over_byte_budget_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "t16.json"
+    code, _ = run_json(
+        capsys, "construct", "tensorhedron", "--n", "4", "--out", str(path)
+    )
+    assert code == 0
+    code, doc = run_json(capsys, "verify", "triple", "--in", str(path))
     assert code == 2 and doc["status"] == "error"
-    assert "d=6" in doc["payload"]["message"]
+    message = doc["payload"]["message"]
+    assert "d=16" in message and "536870912 bytes" in message
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -4,10 +4,8 @@ import pytest
 from quasibasis.operators import (
     NonHermitianError,
     SingularOperatorError,
-    SuperOperator,
     as_hermitian,
     coords_to_op,
-    eig_hermitian,
     herm_onb,
     hs_inner,
     mat_func_psd,
@@ -52,32 +50,6 @@ def test_as_hermitian_absorbs_noise():
     np.testing.assert_allclose(out, out.conj().T)
 
 
-def test_eig_identity():
-    vals, _ = eig_hermitian(np.eye(3))
-    np.testing.assert_allclose(vals, [1, 1, 1])
-
-
-def test_eig_sigma_z():
-    vals, _ = eig_hermitian(SZ)
-    np.testing.assert_allclose(vals, [-1, 1])
-
-
-def test_eig_sic_effect():
-    # E = (1/4)(I + s.sigma) with |s| = 1 has eigenvalues (1 +- |s|)/4
-    s = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-    E = (np.eye(2) + s[0] * SX + s[1] * SY + s[2] * SZ) / 4
-    vals, _ = eig_hermitian(E)
-    np.testing.assert_allclose(vals, [0.0, 0.5], atol=1e-15)
-
-
-def test_eig_reconstruction_and_orthonormality(rng):
-    A = random_hermitian(6, rng)
-    vals, vecs = eig_hermitian(A)
-    np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, A, atol=1e-12)
-    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(6), atol=1e-12)
-    assert np.all(np.diff(vals) >= 0)
-
-
 def test_sqrt_of_identity():
     np.testing.assert_allclose(mat_func_psd(np.eye(3), "sqrt"), np.eye(3))
 
@@ -111,11 +83,6 @@ def test_sqrt_rejects_indefinite():
 def test_inv_sqrt_rejects_singular():
     with pytest.raises(SingularOperatorError):
         mat_func_psd(np.diag([1.0, 0.0]), "inv_sqrt", clip=0.0)
-
-
-def test_callable_function():
-    out = mat_func_psd(np.diag([0.0, np.log(4.0)]), np.exp)
-    np.testing.assert_allclose(out, np.diag([1.0, 4.0]))
 
 
 def test_herm_onb_qubit_is_paulis():
@@ -160,65 +127,11 @@ def test_coords_isometry(rng):
         )
 
 
-def test_superop_identity_map():
-    S = SuperOperator.from_action(lambda X: X, 3)
-    np.testing.assert_allclose(S.matrix, np.eye(9), atol=1e-13)
-
-
-def test_superop_trace_projector_map():
-    d = 3
-    S = SuperOperator.from_action(lambda X: np.trace(X) * np.eye(d) / d, d)
-    expected = np.zeros((9, 9))
-    expected[0, 0] = 1.0
-    np.testing.assert_allclose(S.matrix, expected, atol=1e-13)
-
-
-def test_superop_frame_of_onb_is_identity():
-    d = 3
-    B = herm_onb(d)
-
-    def frame(X):
-        return sum(hs_inner(X, Bi) * Bi for Bi in B)
-
-    S = SuperOperator.from_action(frame, d)
-    np.testing.assert_allclose(S.matrix, np.eye(9), atol=1e-12)
-
-
-def test_superop_rejects_nonhermitian_action():
-    bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(NonHermitianError):
-        SuperOperator.from_action(lambda X: bad, 2)
-
-
-def test_superop_selfadjoint_symmetric(rng):
-    # maps X -> sum_i tr(X A_i) A_i are self-adjoint for Hermitian A_i
-    ops = [random_hermitian(3, rng) for _ in range(5)]
-
-    def frame(X):
-        return sum(hs_inner(X, A) * A for A in ops)
-
-    S = SuperOperator.from_action(frame, 3)
-    assert np.max(np.abs(S.matrix - S.matrix.T)) <= 1e-10
-
-
-def test_superop_apply_matches_action(rng):
-    ops = [random_hermitian(3, rng) for _ in range(4)]
-
-    def frame(X):
-        return sum(hs_inner(X, A) * A for A in ops)
-
-    S = SuperOperator.from_action(frame, 3)
-    X = random_hermitian(3, rng)
-    np.testing.assert_allclose(S.apply(X), frame(X), atol=1e-11)
-
-
-def test_superop_func_requires_symmetry():
-    M = np.zeros((4, 4))
-    M[0, 1] = 1.0
-    with pytest.raises(ValueError, match="not symmetric"):
-        SuperOperator(M, 2).func("sqrt")
-
-
 def test_inv_sqrt_rejects_zero_matrix():
     with pytest.raises(SingularOperatorError, match="non-positive"):
         mat_func_psd(np.zeros((2, 2)), "inv_sqrt")
+
+
+def test_unknown_matrix_function_rejected():
+    with pytest.raises(ValueError, match="unknown matrix function"):
+        mat_func_psd(np.eye(2), np.exp)
