@@ -12,12 +12,10 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .operators import (  # noqa: E402
-    SuperOperator,
     as_hermitian,
     coords_to_op,
     herm_onb,
     hs_inner,
-    mat_func_psd,
     op_to_coords,
 )
 from .bases import (  # noqa: E402

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, gram
-from .constructions import sic_gram_deviation, wh_displacement
+from .constructions import SIC_TOL, sic_gram_deviation, wh_displacement
 from .operators import _flat
 from .wigner import _greedy_match, principal_wigner, shifted
 
 SATURATION_TOL = 1e-9
 MATCH_TOL = 1e-8
+EQUIANGULAR_TOL = 1e-8
 # Memory allowed to one triple-product tensor plus its E_j E_k stack,
 # 32 d^6 bytes for a basis: admits d <= 14.
 TRIPLE_BYTES_BUDGET = 2**28
@@ -73,10 +74,10 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
     return DistanceReport(lower_bound=lower, upper_bound=upper, spectrum=lam)
 
 
-def distance_report(mic: MeasureBasis, wigner_basis: MeasureBasis,
-                    tol: float = SATURATION_TOL) -> DistanceReport:
+def distance_report(mic: MeasureBasis,
+                    wigner_basis: MeasureBasis) -> DistanceReport:
     """Distance of an unbiased MIC to an unbiased Wigner basis with the
-    bound values and saturation flags filled in."""
+    bound values and saturation flags (within SATURATION_TOL) filled in."""
     wcls = wigner_basis.classify()
     if not (wcls.is_wigner and wcls.is_unbiased):
         raise ValueError(
@@ -86,8 +87,8 @@ def distance_report(mic: MeasureBasis, wigner_basis: MeasureBasis,
     report = distance_bounds(mic)
     dist = distance(mic, wigner_basis)
     report.distance = dist
-    report.saturates_lower = abs(dist - report.lower_bound) <= tol
-    report.saturates_upper = abs(dist - report.upper_bound) <= tol
+    report.saturates_lower = abs(dist - report.lower_bound) <= SATURATION_TOL
+    report.saturates_upper = abs(dist - report.upper_bound) <= SATURATION_TOL
     return report
 
 
@@ -160,18 +161,24 @@ class TripleProducts:
     dim: int
     gamma: np.ndarray
 
+    # The residuals compare one j-slab Gamma_j.. at a time, so they need
+    # O(n^2) scratch memory rather than copies of the n^3 tensor.
+
     def cyclic_residual(self) -> float:
+        """max |Gamma_jkl - Gamma_klj| and |Gamma_jkl - Gamma_ljk|."""
         g = self.gamma
-        return float(
-            max(
-                np.max(np.abs(g - np.transpose(g, (1, 2, 0)))),
-                np.max(np.abs(g - np.transpose(g, (2, 0, 1)))),
-            )
-        )
+        return float(max(
+            max(np.max(np.abs(g[j] - g[:, :, j])),
+                np.max(np.abs(g[j] - g[:, j, :].T)))
+            for j in range(len(g))
+        ))
 
     def conjugation_residual(self) -> float:
+        """max |Gamma_jkl - conj(Gamma_lkj)|."""
         g = self.gamma
-        return float(np.max(np.abs(g - np.conj(np.transpose(g, (2, 1, 0))))))
+        return float(max(
+            np.max(np.abs(g[j] - g[:, :, j].T.conj())) for j in range(len(g))
+        ))
 
     def sum_rule_residual(self, basis: MeasureBasis) -> float:
         target = self.dim**2 * basis.weights
@@ -229,8 +236,7 @@ def wootters_triple_oracle(d: int) -> np.ndarray:
     return np.exp(4j * np.pi * (area % d) / d) / d
 
 
-def sic_triple_relation_check(sic: MeasureBasis, sign: int,
-                              sic_tol: float = 1e-8) -> float:
+def sic_triple_relation_check(sic: MeasureBasis, sign: int) -> float:
     """Max residual of the SIC triple-product relation
 
         d^3 tr(F_j F_k F_l) = s^3 tr(Pi_j Pi_k Pi_l)
@@ -238,15 +244,16 @@ def sic_triple_relation_check(sic: MeasureBasis, sign: int,
 
     with s = +sqrt(d+1) and F the principal Wigner basis for sign=+1, and
     every occurrence of sqrt(d+1) negated (s = -sqrt(d+1), F the shifted
-    principal Wigner basis) for sign=-1.
+    principal Wigner basis) for sign=-1. Raises ValueError unless the
+    input's Gram matrix is the SIC one within SIC_TOL.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     d = sic.dim
     dev = sic_gram_deviation(sic.elements)
-    if dev > sic_tol:
+    if dev > SIC_TOL:
         raise ValueError(
-            f"input is not a SIC (Gram deviation {dev:.3e} > {sic_tol:.1e})"
+            f"input is not a SIC (Gram deviation {dev:.3e} > {SIC_TOL:.1e})"
         )
     projectors = d * sic.elements
     F = principal_wigner(sic).basis
@@ -277,30 +284,29 @@ def _rank_profile(basis: MeasureBasis,
     return [int(r) for r in _element_ranks(eigs, rtol)]
 
 
-def wh_covariant(basis: MeasureBasis, tol: float = MATCH_TOL) -> bool:
+def wh_covariant(basis: MeasureBasis) -> bool:
     """Whether conjugation by every Weyl-Heisenberg displacement permutes
-    the basis elements (greedy matching within tol)."""
+    the basis elements (greedy matching within MATCH_TOL)."""
     d = basis.dim
     for k in range(d):
         for l in range(d):
             D = wh_displacement(d, k, l)
             conj = np.einsum("ij,njk,lk->nil", D, basis.elements, D.conj())
             perm = _greedy_match(conj, basis.elements)
-            if np.max(np.abs(conj - basis.elements[perm])) > tol:
+            if np.max(np.abs(conj - basis.elements[perm])) > MATCH_TOL:
                 return False
     return True
 
 
-def diagnostics(basis: MeasureBasis,
-                equiangular_tol: float = 1e-8) -> DiagnosticsReport:
-    """Equiangularity spread, element rank profile, and Weyl-Heisenberg
-    covariance of a measure basis."""
+def diagnostics(basis: MeasureBasis) -> DiagnosticsReport:
+    """Equiangularity spread (equiangular within EQUIANGULAR_TOL), element
+    rank profile, and Weyl-Heisenberg covariance of a measure basis."""
     G = gram(basis)
     n = len(basis)
     off = G[~np.eye(n, dtype=bool)]
     spread = float(off.max() - off.min())
     return DiagnosticsReport(
-        equiangular=spread <= equiangular_tol,
+        equiangular=spread <= EQUIANGULAR_TOL,
         equiangular_spread=spread,
         rank_profile=_rank_profile(basis),
         wh_covariant=wh_covariant(basis),

@@ -7,7 +7,8 @@ positive semidefinite) and Wigner bases (Gram matrix diagonal) are the two
 refinements everything else in the package revolves around.
 
 Phi = A G^{-1} and sqrt(Phi) are A^{1/2} U Sigma^{-p} U^T A^{-1/2} (p = 2, 1)
-from the SVD A^{-1/2} C = U Sigma V^T that MeasureBasis._lowdin caches.
+from the SVD A^{-1/2} C = U Sigma V^T that MeasureBasis._lowdin caches. The
+frame operators are real d^2 x d^2 matrices acting on herm_onb coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .operators import (
     SingularOperatorError,
-    SuperOperator,
     _flat,
     _mix,
     as_hermitian,
@@ -190,9 +190,9 @@ def _positive_weights(basis: MeasureBasis, what: str) -> np.ndarray:
     return w
 
 
-def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
+def validate(candidate) -> BasisClass:
     """Classify a candidate element set (array-like of d^2 Hermitian d x d
-    matrices, or a MeasureBasis).
+    matrices, or a MeasureBasis) at VALIDATION_TOL.
 
     Returns a full report rather than raising, except for structurally
     malformed input (wrong element count, mismatched dimensions).
@@ -206,12 +206,12 @@ def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
     failures: dict[str, float] = {}
 
     sum_resid = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
-    if sum_resid > tol:
+    if sum_resid > VALIDATION_TOL:
         failures["sum_to_identity"] = sum_resid
 
     weights = np.einsum("aii->a", elements).real
     min_weight = float(weights.min())
-    if min_weight < -tol:
+    if min_weight < -VALIDATION_TOL:
         failures["nonnegative_traces"] = min_weight
 
     G = _gram_of(elements)
@@ -227,11 +227,11 @@ def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
 
     eigs = np.linalg.eigvalsh(elements)  # (n, d), ascending per element
     min_eigenvalue = float(eigs[:, 0].min())
-    is_mic = is_measure_basis and min_eigenvalue >= -tol
+    is_mic = is_measure_basis and min_eigenvalue >= -VALIDATION_TOL
 
     offdiag = G - np.diag(np.diag(G))
     max_offdiag = float(np.max(np.abs(offdiag)))
-    is_wigner = is_measure_basis and max_offdiag <= tol
+    is_wigner = is_measure_basis and max_offdiag <= VALIDATION_TOL
 
     if is_mic and is_wigner:
         raise BasisValidationError(
@@ -240,7 +240,7 @@ def validate(candidate, tol: float = VALIDATION_TOL) -> BasisClass:
         )
 
     is_unbiased = is_measure_basis and bool(
-        np.max(np.abs(weights - 1.0 / d)) <= tol
+        np.max(np.abs(weights - 1.0 / d)) <= VALIDATION_TOL
     )
     is_rank1 = is_measure_basis and bool(np.all(_element_ranks(eigs) == 1))
 
@@ -293,21 +293,21 @@ def dual_basis(basis) -> np.ndarray:
     return _mix((vecs / vals) @ vecs.T, elements)
 
 
-def frame_operator(basis: MeasureBasis) -> SuperOperator:
-    """The map X -> sum_i tr(X L_i) L_i as a SuperOperator, which offers
-    only its coordinate ``matrix`` and ``apply``.
+def frame_operator(basis: MeasureBasis) -> np.ndarray:
+    """The map X -> sum_i tr(X L_i) L_i as a real (d^2, d^2) matrix S on
+    herm_onb coordinates: op_to_coords(S(X)) = S @ op_to_coords(X).
 
     Self-adjoint; shares its nonzero spectrum with the Gram matrix (for a
     basis the two are isospectral).
     """
     C = basis.coords
-    return SuperOperator(C.T @ C, basis.dim)
+    return C.T @ C
 
 
-def rescaled_frame_operator(basis: MeasureBasis) -> SuperOperator:
+def rescaled_frame_operator(basis: MeasureBasis) -> np.ndarray:
     """Frame operator of the weight-rescaled elements L_i / sqrt(l_i):
-    X -> sum_i (tr(X L_i) / l_i) L_i, as a SuperOperator with only
-    ``matrix`` and ``apply``. Its roots S_L^{+-1/2} = V Sigma^{+-1} V^T come
+    X -> sum_i (tr(X L_i) / l_i) L_i, as a real (d^2, d^2) matrix on
+    herm_onb coordinates. Its roots S_L^{+-1/2} = V Sigma^{+-1} V^T come
     from the cached Loewdin SVD, not from this matrix.
 
     Fixes the identity, is trace-preserving, and for a MIC acts as the
@@ -315,7 +315,7 @@ def rescaled_frame_operator(basis: MeasureBasis) -> SuperOperator:
     """
     w = _positive_weights(basis, "the rescaled frame operator")
     C = basis.coords
-    return SuperOperator(C.T @ (C / w[:, None]), basis.dim)
+    return C.T @ (C / w[:, None])
 
 
 def _born_power(basis: MeasureBasis, p: int) -> np.ndarray:
@@ -340,10 +340,6 @@ class BornMatrix:
     phi: np.ndarray
     phi_sqrt: np.ndarray
     weights: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[0]
 
     def column_sum_residual(self) -> float:
         return float(np.max(np.abs(self.phi.sum(axis=0) - 1.0)))

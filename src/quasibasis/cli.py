@@ -60,6 +60,11 @@ def _clause(name: str, value: float, tolerance: float,
     }
 
 
+def _tol(args, default: float) -> float:
+    """The --tol override if given, else the clause's default tolerance."""
+    return default if args.tol is None else args.tol
+
+
 def _finish_verify(suite: str, clauses: list[dict], extra: dict | None = None) -> int:
     passed = all(c["pass"] for c in clauses)
     payload = {"suite": suite, "passed": passed, "clauses": clauses}
@@ -78,10 +83,10 @@ def _finish_verify(suite: str, clauses: list[dict], extra: dict | None = None) -
 def _cmd_construct(args) -> int:
     kind = args.kind
     if kind == "sic":
-        tol = args.tol if args.tol is not None else 1e-8
         if args.fiducial:
             basis = constructions.sic_from_fiducial(
-                serialize.read_fiducial(args.fiducial), tol=tol
+                serialize.read_fiducial(args.fiducial),
+                tol=_tol(args, constructions.SIC_TOL),
             )
         elif args.d:
             basis = constructions.builtin_sic(args.d)
@@ -148,7 +153,7 @@ def _cmd_pw(args) -> int:
 
 def _verify_theorem1(args) -> int:
     E = serialize.read_basis(args.infile)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _tol(args, 1e-9)
     pw = principal_wigner(E).basis
     spw = shifted(pw)
     report = analysis.distance_bounds(E)
@@ -172,7 +177,7 @@ def _verify_theorem1(args) -> int:
 
 def _verify_theorem2(args) -> int:
     E = serialize.read_basis(args.infile)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _tol(args, 1e-9)
     cls = E.classify()
     if not (cls.is_mic and cls.is_unbiased):
         raise InputError(
@@ -181,7 +186,7 @@ def _verify_theorem2(args) -> int:
     d = E.dim
     lower, upper = analysis.sic_bounds(d)
     sic_dev = constructions.sic_gram_deviation(E.elements)
-    is_sic = sic_dev <= 1e-8
+    is_sic = sic_dev <= constructions.SIC_TOL
     pw = principal_wigner(E).basis
     d_pw = analysis.distance(E, pw)
     clauses = [_clause("bound_holds", d_pw - lower, -tol, ">=")]
@@ -209,10 +214,10 @@ def _verify_collinear(args) -> int:
         ts = [float(x) for x in args.t.split(",") if x.strip()]
     except ValueError as exc:
         raise InputError(f"bad --t list {args.t!r}") from exc
-    pw_tol = args.tol if args.tol is not None else 1e-8
+    pw_tol = _tol(args, 1e-8)
     # Relative to the predicted entries: Phi grows with the Gram condition,
     # and its roundoff with it.
-    identity_tol = args.tol if args.tol is not None else 1e-9
+    identity_tol = _tol(args, 1e-9)
     d, n = L.dim, len(L)
     pw = principal_wigner(L).basis
     spw = shifted(pw)
@@ -241,20 +246,21 @@ def _verify_collinear(args) -> int:
 
 def _verify_triple(args) -> int:
     F = serialize.read_basis(args.infile)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = _tol(args, 1e-10)
     trip = analysis.triple_products(F)
     clauses = [
         _clause("cyclic_symmetry", trip.cyclic_residual(), tol),
         _clause("conjugation_symmetry", trip.conjugation_residual(), tol),
-        _clause("sum_rule", trip.sum_rule_residual(F), max(tol, 1e-9)),
+        _clause("sum_rule", trip.sum_rule_residual(F), _tol(args, 1e-9)),
     ]
     extra: dict = {"dimension": F.dim}
     d = F.dim
-    if constructions.sic_gram_deviation(F.elements) <= 1e-8:
+    if constructions.sic_gram_deviation(F.elements) <= constructions.SIC_TOL:
         extra["is_sic"] = True
         for sign, name in ((+1, "plus"), (-1, "minus")):
             resid = analysis.sic_triple_relation_check(F, sign)
-            clauses.append(_clause(f"sic_relation_{name}", resid, 1e-9))
+            clauses.append(_clause(f"sic_relation_{name}", resid,
+                                   _tol(args, 1e-9)))
     if d % 2 == 1 and constructions._is_prime(d):
         wootters = constructions.wootters_wigner(d)
         if float(np.max(np.abs(F.elements - wootters.elements))) <= 1e-8:
@@ -289,7 +295,7 @@ def _verify_negativity(args) -> int:
         F, n_samples=args.samples, seed=args.seed
     )
     gap = value - sampled
-    tol = args.tol if args.tol is not None else 1e-3
+    tol = _tol(args, 1e-3)
     clauses = [
         _clause("sampling_not_above_spectral", gap + 1e-12, 0.0, ">="),
         _clause("sampling_consistency", gap, tol),

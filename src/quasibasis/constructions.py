@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bases import BasisValidationError, MeasureBasis, _gram_of, _positive_weights
-from .operators import _mix, mat_func_psd
+from .operators import SingularOperatorError, _mix
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -27,6 +27,10 @@ _PAULI = {
 _TETRA_SIGNS = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 )
+
+
+# Default max Gram-matrix deviation for an element stack to count as a SIC.
+SIC_TOL = 1e-8
 
 
 class SicOrbitError(ValueError):
@@ -85,7 +89,7 @@ def sic_gram_deviation(elements: np.ndarray) -> float:
     return float(np.max(np.abs(_gram_of(elements) - sic_gram(elements.shape[1]))))
 
 
-def sic_from_fiducial(fiducial, tol: float = 1e-8) -> MeasureBasis:
+def sic_from_fiducial(fiducial, tol: float = SIC_TOL) -> MeasureBasis:
     """Weyl-Heisenberg orbit POVM of a unit fiducial vector, elements
     E_{k,l} = (1/d) D_{k,l} |f><f| D_{k,l}^dag in flat (k*d + l) order.
 
@@ -220,6 +224,8 @@ def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
     """
     if t == 0:
         raise ValueError("t = 0 collapses every element onto the identity")
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
     d = basis.dim
     eye = np.eye(d)
     elements = t * basis.elements + (
@@ -253,9 +259,18 @@ def _wishart_stack(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _whiten_to_identity(ops: np.ndarray) -> np.ndarray:
-    """Conjugate a stack of PSD operators by (sum)^(-1/2) so they sum to I."""
+    """Conjugate a stack of PSD operators by (sum)^(-1/2) so they sum to I.
+    Raises SingularOperatorError when the sum's smallest eigenvalue is at
+    most 1e-12 times its largest."""
     total = ops.sum(axis=0)
-    root_inv = mat_func_psd(total, "inv_sqrt")
+    vals, vecs = np.linalg.eigh((total + total.conj().T) / 2)
+    if vals[0] <= 1e-12 * vals[-1]:
+        raise SingularOperatorError(
+            f"sum of operators is singular (eigenvalues {vals[0]:.3e} to "
+            f"{vals[-1]:.3e})"
+        )
+    root_inv = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    root_inv = (root_inv + root_inv.conj().T) / 2
     return np.einsum("ij,njk,kl->nil", root_inv, ops, root_inv)
 
 
@@ -282,29 +297,28 @@ def random_mic(d: int, seed: int) -> MeasureBasis:
     )
 
 
-def random_unbiased_mic(d: int, seed: int, bias_tol: float = 1e-10,
-                        max_iter: int = 1000) -> MeasureBasis:
+def random_unbiased_mic(d: int, seed: int) -> MeasureBasis:
     """Random unbiased MIC via alternating trace normalization
     (A_i <- A_i / (d tr A_i)) and sum-conjugation, until the bias deviates
-    from 1/d by less than bias_tol.
+    from 1/d by less than 1e-10.
 
-    The alternation has no convergence proof; on hitting max_iter the
+    The alternation has no convergence proof; after 1000 rounds the
     residual is reported in the raised error rather than silently accepted.
     """
     _check_dim(d)
     rng = np.random.default_rng(seed)
     ops = _wishart_stack(rng, d * d, d)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(1000):
         traces = np.einsum("nii->n", ops).real
         ops = ops / (d * traces[:, None, None])
         ops = _whiten_to_identity(ops)
         residual = float(np.max(np.abs(np.einsum("nii->n", ops).real - 1.0 / d)))
-        if residual < bias_tol:
+        if residual < 1e-10:
             break
     else:
         raise RuntimeError(
-            f"unbiased-MIC alternation did not converge in {max_iter} "
+            "unbiased-MIC alternation did not converge in 1000 "
             f"iterations (bias residual {residual:.3e})"
         )
     return MeasureBasis(ops, label=f"random unbiased MIC d={d} seed={seed}")

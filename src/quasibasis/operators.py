@@ -1,9 +1,10 @@
-"""Hermitian operator algebra: inner products, operator coordinates, and
-frame-operator matrices.
+"""Hermitian operator algebra: validation, inner products and operator
+coordinates.
 
-Operators are plain complex ndarrays. Superoperators (linear maps on the
-space of Hermitian d x d operators) are stored as real matrices in a fixed
-orthonormal Hermitian basis whose first element is I/sqrt(d).
+Operators are plain complex ndarrays. Coordinates are real vectors in a
+fixed orthonormal Hermitian basis whose first element is I/sqrt(d); linear
+maps on Hermitian d x d operators (the frame operators in bases) are real
+d^2 x d^2 matrices acting on those coordinates.
 
 Hilbert-Schmidt contractions run on real views. A contiguous complex
 (n, d, d) stack E is, through _flat, the real (n, 2 d^2) matrix holding the
@@ -23,10 +24,6 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-9
 
-# Relative eigenvalue floor used when taking (inverse) square roots of
-# nominally-PSD operators that carry O(eps) negative noise.
-CLIP_RTOL = 1e-12
-
 
 class NonHermitianError(ValueError):
     """Input operator is not Hermitian within tolerance."""
@@ -45,26 +42,37 @@ def _flat(E) -> np.ndarray:
     return E.reshape(E.shape[:-2] + (-1,)).view(float)
 
 
-def as_hermitian(A, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def as_hermitian(A) -> np.ndarray:
     """Symmetrize A, or each matrix of an (n, d, d) stack, to (A + A^dag)/2,
-    rejecting if the asymmetry exceeds ``rtol`` times the norm of A.
+    rejecting if the asymmetry exceeds HERMITICITY_RTOL times the norm of A.
 
     Small asymmetries are numerical noise and are silently removed; large
-    ones indicate a genuinely non-Hermitian input and raise.
+    ones indicate a genuinely non-Hermitian input and raise. A matrix whose
+    Frobenius norm is not finite (a NaN or inf entry, or entries too large
+    to square) raises ValueError naming it, before any factorization sees it.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix or stack, got shape {A.shape}")
-    herm = (A + np.swapaxes(A, -1, -2).conj()) / 2
+    where = " (element {})" if A.ndim == 3 else ""
     # Frobenius norms as row norms of the real views
-    k, a = _flat(A - herm), _flat(A)
+    a = _flat(A)
+    norm = np.sqrt(np.einsum("...i,...i->...", a, a))
+    finite = np.isfinite(norm)
+    if not finite.all():
+        raise ValueError(
+            "non-finite Frobenius norm" + where.format(np.argmin(finite))
+            + ": a NaN or inf entry, or entries too large to square"
+        )
+    herm = (A + np.swapaxes(A, -1, -2).conj()) / 2
+    k = _flat(A - herm)
     asym = np.sqrt(np.einsum("...i,...i->...", k, k))
-    scale = np.maximum(np.sqrt(np.einsum("...i,...i->...", a, a)), 1.0)
-    if np.any(asym > rtol * scale):
+    scale = np.maximum(norm, 1.0)
+    if (asym > HERMITICITY_RTOL * scale).any():
         i = np.argmax(asym / scale)  # the worst element of a stack
         raise NonHermitianError(
-            f"asymmetry {asym.flat[i]:.3e} exceeds {rtol:.1e} * norm "
-            f"{scale.flat[i]:.3e}" + (f" (element {i})" if A.ndim == 3 else "")
+            f"asymmetry {asym.flat[i]:.3e} exceeds {HERMITICITY_RTOL:.1e} * "
+            f"norm {scale.flat[i]:.3e}" + where.format(i)
         )
     return herm
 
@@ -76,50 +84,6 @@ def hs_inner(A, B) -> float:
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return float(np.einsum("ij,ji->", A, B).real)
-
-
-def mat_func_psd(A, f, clip: float | None = None) -> np.ndarray:
-    """Square root or inverse square root of a Hermitian (or real symmetric)
-    matrix via its eigendecomposition, V f(Lambda) V^dag.
-
-    ``f`` is "sqrt" or "inv_sqrt"; both treat A as positive semidefinite up
-    to eigenvalue noise: eigenvalues below -clip raise (input is genuinely
-    not PSD), eigenvalues in [-clip, clip] are clamped to 0 for "sqrt" and
-    to clip for "inv_sqrt" (clip == 0 there means a true singularity and
-    raises). Default clip is CLIP_RTOL * max|eigenvalue|.
-    """
-    if f not in ("sqrt", "inv_sqrt"):
-        raise ValueError(f"unknown matrix function {f!r}")
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    real_input = not np.iscomplexobj(A)
-    H = as_hermitian(A) if not real_input else as_hermitian(A).real
-    vals, vecs = np.linalg.eigh(H)
-
-    if clip is None:
-        clip = CLIP_RTOL * max(np.max(np.abs(vals)), 1e-300)
-    if np.min(vals) < -clip:
-        raise ValueError(
-            f"matrix is not PSD: eigenvalue {np.min(vals):.3e} < -clip {-clip:.3e}"
-        )
-    if f == "sqrt":
-        fvals = np.sqrt(np.where(vals < clip, 0.0, vals))
-    else:
-        if np.max(vals) <= 0.0:
-            raise SingularOperatorError(
-                "inverse square root of a non-positive matrix"
-            )
-        clipped = np.maximum(vals, clip)
-        if np.any(clipped == 0.0):
-            raise SingularOperatorError(
-                "inverse square root of a singular matrix"
-            )
-        fvals = 1.0 / np.sqrt(clipped)
-
-    out = (vecs * fvals) @ vecs.conj().T
-    out = (out + out.conj().T) / 2
-    return out.real if real_input else out
 
 
 @lru_cache(maxsize=32)
@@ -164,7 +128,7 @@ def _mix(c, E) -> np.ndarray:
     return out.view(complex).reshape(out.shape[:-1] + E.shape[-2:])
 
 
-def op_to_coords(A, d: int | None = None) -> np.ndarray:
+def op_to_coords(A) -> np.ndarray:
     """Real coordinate vector of a Hermitian operator in the herm_onb basis;
     for an (n, d, d) stack, one row per operator.
 
@@ -173,11 +137,9 @@ def op_to_coords(A, d: int | None = None) -> np.ndarray:
     coordinates of its Hermitian part.
     """
     A = np.asarray(A, dtype=complex)
-    if d is None:
-        d = A.shape[-1]
-    if A.ndim not in (2, 3) or A.shape[-2:] != (d, d):
-        raise ValueError(f"dimension mismatch: {A.shape} vs d={d}")
-    return _flat(A) @ _onb_flat(d).T
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or stack, got shape {A.shape}")
+    return _flat(A) @ _onb_flat(A.shape[-1]).T
 
 
 def coords_to_op(v, d: int) -> np.ndarray:
@@ -186,23 +148,3 @@ def coords_to_op(v, d: int) -> np.ndarray:
     if v.ndim not in (1, 2) or v.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got shape {v.shape}")
     return (v @ _onb_flat(d)).view(complex).reshape(v.shape[:-1] + (d, d))
-
-
-class SuperOperator:
-    """Linear map on Hermitian d x d operators, as a real d^2 x d^2 matrix
-    in the herm_onb coordinate system."""
-
-    def __init__(self, matrix, d: int):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (d * d, d * d):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match d^2={d * d}"
-            )
-        self.matrix = matrix
-        self.d = d
-
-    def apply(self, X) -> np.ndarray:
-        return coords_to_op(op_to_coords(X, self.d) @ self.matrix.T, self.d)
-
-    def __repr__(self):
-        return f"SuperOperator(d={self.d})"

@@ -23,7 +23,7 @@ from .bases import (
     dual_basis,
     rescaled_frame_operator,
 )
-from .operators import as_hermitian
+from .operators import _flat, as_hermitian, coords_to_op, op_to_coords
 from .wigner import sqrt_born
 
 STATE_TOL = 1e-9
@@ -38,50 +38,61 @@ class POVMValidationError(ValueError):
     """Effect list is not a POVM within tolerance."""
 
 
-def validate_state(rho, tol: float = STATE_TOL) -> np.ndarray:
-    """Check trace one and positive semidefiniteness; returns the
-    symmetrized state."""
+def validate_state(rho) -> np.ndarray:
+    """Check trace one and positive semidefiniteness within STATE_TOL;
+    returns the symmetrized state."""
     rho = as_hermitian(rho)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise StateValidationError(f"trace {tr:.12g} is not 1 within {tol:.1e}")
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError(
-            f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}"
+            f"trace {tr:.12g} is not 1 within {STATE_TOL:.1e}"
+        )
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < -STATE_TOL:
+        raise StateValidationError(
+            f"minimum eigenvalue {min_eig:.3e} below -{STATE_TOL:.1e}"
         )
     return rho
 
 
-def validate_povm(effects, tol: float = STATE_TOL) -> np.ndarray:
-    """Check that the effects are PSD and resolve the identity; returns the
-    symmetrized (n, d, d) stack. Any number of outcomes is allowed."""
+def validate_povm(effects) -> np.ndarray:
+    """Check that the effects are PSD and resolve the identity within
+    STATE_TOL; returns the symmetrized (n, d, d) stack. Any number of
+    outcomes is allowed."""
     effects = np.asarray(effects, dtype=complex)
     if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
         raise ValueError(f"expected (n, d, d) effects, got {effects.shape}")
     effects = as_hermitian(effects)
     d = effects.shape[1]
     min_eig = float(np.linalg.eigvalsh(effects)[:, 0].min())
-    if min_eig < -tol:
+    if min_eig < -STATE_TOL:
         raise POVMValidationError(
-            f"effect minimum eigenvalue {min_eig:.3e} below -{tol:.1e}"
+            f"effect minimum eigenvalue {min_eig:.3e} below -{STATE_TOL:.1e}"
         )
     sum_resid = float(np.max(np.abs(effects.sum(axis=0) - np.eye(d))))
-    if sum_resid > tol:
+    if sum_resid > STATE_TOL:
         raise POVMValidationError(
             f"effects sum deviates from identity by {sum_resid:.3e}"
         )
     return effects
 
 
+def _born(E: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(E_j rho) of a Hermitian (n, d, d) stack and a Hermitian rho, as
+    one real matrix product: tr(AB) = _flat(A) . _flat(B)."""
+    if rho.shape != E.shape[1:]:
+        raise ValueError(
+            f"dimension mismatch between state (d={rho.shape[0]}) and "
+            f"operators (d={E.shape[-1]})"
+        )
+    return _flat(E) @ _flat(rho)
+
+
 def state_to_probs(rho, basis: MeasureBasis) -> np.ndarray:
     """Born-rule vector p_i = tr(rho L_i). Probabilities when the basis is
     a MIC; a quasiprobability (summing to one, possibly negative) when it
     is a Wigner basis."""
-    rho = validate_state(rho)
-    if rho.shape[0] != basis.dim:
-        raise ValueError("dimension mismatch between state and basis")
-    return np.einsum("ij,nji->n", rho, basis.elements).real
+    return _born(basis.elements, validate_state(rho))
 
 
 @dataclass
@@ -98,10 +109,10 @@ class ReconstructedState:
     is_state: bool
 
 
-def probs_to_state(p, basis: MeasureBasis,
-                   tol: float = STATE_TOL) -> ReconstructedState:
+def probs_to_state(p, basis: MeasureBasis) -> ReconstructedState:
     """Reconstruct sum_i p_i dual_i from (quasi)probabilities; the exact
-    inverse of state_to_probs on consistent inputs."""
+    inverse of state_to_probs on consistent inputs. ``is_state`` is judged
+    within STATE_TOL."""
     p = np.asarray(p, dtype=float)
     n = basis.dim * basis.dim
     if p.shape != (n,):
@@ -114,7 +125,7 @@ def probs_to_state(p, basis: MeasureBasis,
         operator=op,
         trace=tr,
         min_eigenvalue=min_eig,
-        is_state=bool(abs(tr - 1.0) <= tol and min_eig >= -tol),
+        is_state=bool(abs(tr - 1.0) <= STATE_TOL and min_eig >= -STATE_TOL),
     )
 
 
@@ -159,11 +170,10 @@ def two_step_q(effects, basis: MeasureBasis, rho) -> tuple[np.ndarray, np.ndarra
     is the quantum replacement for the law of total probability."""
     D = validate_povm(effects)
     rho = validate_state(rho)
-    q_direct = np.einsum("jab,ba->j", D, rho).real
+    q_direct = _born(D, rho)
     cond = conditional_matrix(D, basis)
     phi = born_matrix(basis).phi
-    p_ref = state_to_probs(rho, basis)
-    q_cascade = cond @ (phi @ p_ref)
+    q_cascade = cond @ (phi @ _born(basis.elements, rho))
     return q_direct, q_cascade
 
 
@@ -183,11 +193,12 @@ class GaugeSplit:
     reconstruction_residual: float
 
 
-def gauge_split(effects, basis: MeasureBasis, rho,
-                tol: float = STATE_TOL) -> GaugeSplit:
+def gauge_split(effects, basis: MeasureBasis, rho) -> GaugeSplit:
     """Split the Born-matrix action evenly between the conditional matrix
     and the reference probabilities. Only defined for unbiased reference
-    bases (Phi must be symmetric for a symmetric square root)."""
+    bases (Phi must be symmetric for a symmetric square root); raises
+    ArithmeticError if the split misses the direct probabilities by more
+    than STATE_TOL."""
     cls = basis.classify()
     if not cls.is_unbiased:
         raise ValueError(
@@ -198,11 +209,11 @@ def gauge_split(effects, basis: MeasureBasis, rho,
     D = validate_povm(effects)
     rho = validate_state(rho)
     phi_sqrt = sqrt_born(basis)
-    right = QuasiDistribution(phi_sqrt @ state_to_probs(rho, basis))
+    right = QuasiDistribution(phi_sqrt @ _born(basis.elements, rho))
     left = conditional_matrix(D, basis) @ phi_sqrt
-    q_direct = np.einsum("jab,ba->j", D, rho).real
+    q_direct = _born(D, rho)
     resid = float(np.max(np.abs(left @ right.values - q_direct)))
-    if resid > max(tol, 1e-9):
+    if resid > STATE_TOL:
         raise ArithmeticError(
             f"gauge split failed to reconstruct the Born probabilities "
             f"(residual {resid:.3e})"
@@ -220,4 +231,5 @@ def ebmc_apply(basis: MeasureBasis, X) -> np.ndarray:
     X = as_hermitian(X)
     if X.shape[0] != basis.dim:
         raise ValueError("dimension mismatch")
-    return rescaled_frame_operator(basis).apply(X)
+    S = rescaled_frame_operator(basis)
+    return coords_to_op(op_to_coords(X) @ S.T, basis.dim)

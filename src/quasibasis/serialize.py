@@ -63,12 +63,16 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
 
 
 def _pairs_to_complex(rows, shape: tuple, what: str) -> np.ndarray:
-    M = np.asarray(rows, dtype=float)
+    expected = f"{what}: expected {' x '.join(map(str, shape))} [re, im] pairs"
+    try:
+        M = np.asarray(rows)
+    except ValueError as exc:  # ragged nesting
+        raise SchemaError(f"{expected}, got ragged lists") from exc
+    if M.dtype.kind not in "iuf":  # strings, booleans, objects, nulls
+        raise SchemaError(f"{expected}, got entries that are not numbers")
     if M.shape != (*shape, 2):
-        raise SchemaError(
-            f"{what}: expected {' x '.join(map(str, shape))} [re, im] pairs, "
-            f"got shape {M.shape}"
-        )
+        raise SchemaError(f"{expected}, got shape {M.shape}")
+    M = M.astype(float, copy=False)
     bad = np.argwhere(~np.isfinite(M))
     if bad.size:
         raise SchemaError(f"{what}: non-finite entry at {bad[0].tolist()}")
@@ -103,9 +107,23 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _dimension(doc: dict, path) -> int:
+    """The file's "dimension": a positive integer, written as a JSON
+    integer or an integral float."""
+    d = _require(doc, "dimension", path)
+    integral = isinstance(d, int) or (
+        isinstance(d, float) and math.isfinite(d) and d.is_integer()
+    )
+    if isinstance(d, bool) or not integral or d < 1:
+        raise SchemaError(
+            f"{path}: 'dimension' must be a positive integer, got {d!r}"
+        )
+    return int(d)
+
+
 def _read_elements(path, expect_square_count: bool):
     doc = _load_doc(path)
-    d = int(_require(doc, "dimension", path))
+    d = _dimension(doc, path)
     raw = _require(doc, "elements", path)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{path}: 'elements' must be a non-empty list")
@@ -137,7 +155,7 @@ def read_povm(path) -> np.ndarray:
 def read_fiducial(path) -> np.ndarray:
     """Load a fiducial vector; unit norm is checked by the SIC builder."""
     doc = _load_doc(path)
-    d = int(_require(doc, "dimension", path))
+    d = _dimension(doc, path)
     return _pairs_to_complex(
         _require(doc, "amplitudes", path), (d,), f"{path} amplitudes"
     )
@@ -155,7 +173,7 @@ def write_fiducial(fiducial, path) -> None:
 def read_state(path) -> np.ndarray:
     """Load and validate a density-operator file."""
     doc = _load_doc(path)
-    d = int(_require(doc, "dimension", path))
+    d = _dimension(doc, path)
     rho = _pairs_to_complex(_require(doc, "matrix", path), (d, d), f"{path} matrix")
     return validate_state(rho)
 

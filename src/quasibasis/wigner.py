@@ -158,9 +158,9 @@ class EquivalenceResult:
 
 
 def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
-                      tol: float = EQUIV_TOL,
                       mode: str = "ordered") -> EquivalenceResult:
-    """Whether two measure bases share a principal Wigner basis.
+    """Whether two measure bases share a principal Wigner basis, within
+    EQUIV_TOL.
 
     Ordered mode compares PW(left) and PW(right) index by index. Permuted
     mode greedily pairs each PW(left) element with the nearest unused
@@ -176,17 +176,17 @@ def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
     FR = principal_wigner(right).basis
     if mode == "ordered":
         dev = float(np.max(np.abs(FL.elements - FR.elements)))
-        ok = dev <= tol
+        ok = dev <= EQUIV_TOL
         return EquivalenceResult(ok, dev, "equivalent" if ok else "mismatch")
 
-    same_bias = np.abs(FL.weights[:, None] - FR.weights) <= max(tol, 1e-10)
+    same_bias = np.abs(FL.weights[:, None] - FR.weights) <= EQUIV_TOL
     perm = _greedy_match(FL.elements, FR.elements, same_bias)
     if perm is None:
         return EquivalenceResult(False, np.inf, "greedy_unmatched")
     dev = float(
         np.max(np.abs(FL.elements - FR.elements[perm]))
     )
-    if dev <= tol:
+    if dev <= EQUIV_TOL:
         return EquivalenceResult(True, dev, "equivalent", tuple(perm))
     return EquivalenceResult(False, dev, "greedy_unmatched")
 

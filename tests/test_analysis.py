@@ -168,6 +168,25 @@ def test_triple_products_memory_guard():
         triple_products(tensorhedron(4))
 
 
+def test_triple_residuals_need_no_tensor_copies():
+    import tracemalloc
+
+    trip = triple_products(random_unbiased_wigner(6, 0))
+    g = trip.gamma
+    cyclic = max(np.max(np.abs(g - np.transpose(g, (1, 2, 0)))),
+                 np.max(np.abs(g - np.transpose(g, (2, 0, 1)))))
+    conjugation = np.max(np.abs(g - np.conj(np.transpose(g, (2, 1, 0)))))
+    tracemalloc.start()
+    try:
+        got = (trip.cyclic_residual(), trip.conjugation_residual())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (cyclic, conjugation)
+    # one j-slab at a time: scratch memory is O(n^2), not O(n^3)
+    assert peak <= g.nbytes / 8
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_triple_kernel_matches_einsum(d):
     F = random_unbiased_wigner(d, 1).elements

@@ -20,7 +20,12 @@ from quasibasis.constructions import (
     sic_gram,
     wootters_wigner,
 )
-from quasibasis.operators import SingularOperatorError, herm_onb
+from quasibasis.operators import (
+    SingularOperatorError,
+    coords_to_op,
+    herm_onb,
+    op_to_coords,
+)
 from quasibasis.wigner import principal_wigner
 
 from conftest import SX, SY, SZ, random_hermitian
@@ -136,7 +141,12 @@ def test_reconstruction_identities(rng):
 def test_rescaled_frame_operator_of_wigner_is_identity():
     F = wootters_wigner(3)
     S = rescaled_frame_operator(F)
-    np.testing.assert_allclose(S.matrix, np.eye(9), atol=1e-13)
+    np.testing.assert_allclose(S, np.eye(9), atol=1e-13)
+
+
+def apply(S, X):
+    """The operator whose herm_onb coordinates are S @ coords(X)."""
+    return coords_to_op(S @ op_to_coords(X), X.shape[0])
 
 
 def test_rescaled_frame_operator_trace_preserving(rng):
@@ -144,7 +154,7 @@ def test_rescaled_frame_operator_trace_preserving(rng):
     S = rescaled_frame_operator(basis)
     for _ in range(10):
         X = random_hermitian(3, rng)
-        assert np.trace(S.apply(X)).real == pytest.approx(
+        assert np.trace(apply(S, X)).real == pytest.approx(
             np.trace(X).real, abs=1e-10
         )
 
@@ -152,13 +162,13 @@ def test_rescaled_frame_operator_trace_preserving(rng):
 def test_rescaled_frame_operator_fixes_identity():
     basis = random_mic(2, 3)
     S = rescaled_frame_operator(basis)
-    np.testing.assert_allclose(S.apply(np.eye(2)), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(apply(S, np.eye(2)), np.eye(2), atol=1e-12)
 
 
 def test_frame_operator_spectrum_qubit_sic():
     S = frame_operator(builtin_sic(2))
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(S.matrix), [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12
+        np.linalg.eigvalsh(S), [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12
     )
 
 
@@ -166,7 +176,7 @@ def test_frame_operator_spectrum_qubit_sic():
 def test_frame_operator_isospectral_to_gram(basis_seed):
     d, seed = basis_seed
     basis = random_mic(d, seed)
-    s_spec = np.linalg.eigvalsh(frame_operator(basis).matrix)
+    s_spec = np.linalg.eigvalsh(frame_operator(basis))
     g_spec = np.linalg.eigvalsh(gram(basis))
     np.testing.assert_allclose(s_spec, g_spec, atol=1e-9)
 
@@ -174,7 +184,7 @@ def test_frame_operator_isospectral_to_gram(basis_seed):
 def test_frame_operators_self_adjoint():
     basis = random_mic(3, 4)
     for S in (frame_operator(basis), rescaled_frame_operator(basis)):
-        assert np.max(np.abs(S.matrix - S.matrix.T)) <= 1e-10
+        assert np.max(np.abs(S - S.T)) <= 1e-10
 
 
 def test_frame_operator_apply_matches_action(rng):
@@ -183,7 +193,7 @@ def test_frame_operator_apply_matches_action(rng):
     for _ in range(3):
         X = random_hermitian(3, rng)
         action = sum(np.trace(X @ L).real * L for L in basis)
-        np.testing.assert_allclose(S.apply(X), action, atol=1e-12)
+        np.testing.assert_allclose(apply(S, X), action, atol=1e-12)
 
 
 @pytest.mark.parametrize("build", [
@@ -199,7 +209,7 @@ def test_lowdin_svd_gives_rescaled_frame_root(build):
     _, s, Vt = basis._lowdin
     root = (Vt.T * s) @ Vt
     np.testing.assert_allclose(
-        root @ root, rescaled_frame_operator(basis).matrix, atol=1e-12
+        root @ root, rescaled_frame_operator(basis), atol=1e-12
     )
     inv_root = (Vt.T / s) @ Vt
     np.testing.assert_allclose(
@@ -272,6 +282,6 @@ def test_frame_operator_handles_zero_weight():
     # the plain frame operator never divides by weights, so the boundary
     # basis is fine there and keeps the Gram spectrum
     basis = zero_weight_basis()
-    s_spec = np.linalg.eigvalsh(frame_operator(basis).matrix)
+    s_spec = np.linalg.eigvalsh(frame_operator(basis))
     g_spec = np.linalg.eigvalsh(gram(basis))
     np.testing.assert_allclose(s_spec, g_spec, atol=1e-10)

@@ -457,3 +457,64 @@ def test_verify_triple_on_generic_mic(tmp_path, capsys):
     assert code == 0
     names = [c["name"] for c in doc["payload"]["clauses"]]
     assert names == ["cyclic_symmetry", "conjugation_symmetry", "sum_rule"]
+
+
+def _malformed_basis(path, dimension=None, entry=None):
+    """A qubit SIC file with its "dimension" replaced by the raw JSON text
+    ``dimension``, or its first entry replaced by ``entry``."""
+    write_basis(builtin_sic(2), path)
+    doc = json.loads(path.read_text())
+    if entry is not None:
+        doc["elements"][0][0][0] = entry
+    if dimension is not None:
+        doc["dimension"] = "@dimension@"
+    text = json.dumps(doc)
+    path.write_text(text.replace('"@dimension@"', str(dimension)))
+
+
+@pytest.mark.parametrize("dimension, entry", [
+    ("null", None), ("[2]", None), ("true", None), ("2.7", None),
+    ("1e400", None), ("NaN", None), ("0", None), ("-2", None),
+    (None, {"x": 1}), (None, "0.25"), (None, [0.25]),
+], ids=["null", "list", "bool", "fractional", "overflow", "nan", "zero",
+        "negative", "object_entry", "string_entry", "short_pair"])
+def test_pw_malformed_file_is_usage_error(tmp_path, capsys, dimension, entry):
+    path = tmp_path / "bad.json"
+    _malformed_basis(path, dimension, entry)
+    code, doc = run_json(
+        capsys, "pw", "--in", str(path), "--out", str(tmp_path / "pw.json")
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert str(path) in doc["payload"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "collinear", "--t", "nan"),
+    ("construct", "collinear", "--t", "1e300"),
+    ("verify", "collinear", "--t", "inf"),
+    ("verify", "collinear", "--t", "1e300"),
+], ids=["construct-nan", "construct-1e300", "verify-inf", "verify-1e300"])
+def test_non_finite_collinear_t_is_usage_error(tmp_path, capsys, argv):
+    sic = tmp_path / "sic2.json"
+    write_basis(builtin_sic(2), sic)
+    out = ["--out", str(tmp_path / "x.json")] if argv[0] == "construct" else []
+    code, doc = run_json(capsys, *argv, "--in", str(sic), *out)
+    assert code == 2 and doc["status"] == "error"
+    assert "finite" in doc["payload"]["message"]
+
+
+def test_verify_triple_tol_reaches_every_clause(tmp_path, capsys):
+    sic = tmp_path / "sic2.json"
+    write_basis(builtin_sic(2), sic)
+    _, doc = run_json(capsys, "verify", "triple", "--in", str(sic))
+    defaults = {c["name"]: c["tolerance"] for c in doc["payload"]["clauses"]}
+    assert defaults == {
+        "cyclic_symmetry": 1e-10, "conjugation_symmetry": 1e-10,
+        "sum_rule": 1e-9, "sic_relation_plus": 1e-9,
+        "sic_relation_minus": 1e-9,
+    }
+    _, doc = run_json(
+        capsys, "verify", "triple", "--in", str(sic), "--tol", "1e-30"
+    )
+    tols = {c["name"]: c["tolerance"] for c in doc["payload"]["clauses"]}
+    assert tols == dict.fromkeys(defaults, 1e-30)

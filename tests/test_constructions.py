@@ -4,6 +4,7 @@ import pytest
 from quasibasis.bases import MeasureBasis, gram
 from quasibasis.constructions import (
     SicOrbitError,
+    _whiten_to_identity,
     builtin_sic,
     collinear,
     composite_wootters,
@@ -22,6 +23,7 @@ from quasibasis.constructions import (
     wootters_wigner,
 )
 from quasibasis.analysis import wh_covariant
+from quasibasis.operators import SingularOperatorError
 
 from conftest import SX, SZ, random_unitary
 
@@ -154,6 +156,18 @@ def test_collinear_t_zero_rejected():
         collinear(builtin_sic(2), 0.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_collinear_non_finite_t_rejected(t):
+    with pytest.raises(ValueError, match="not finite"):
+        collinear(builtin_sic(2), t)
+
+
+def test_collinear_overflowing_t_rejected():
+    # finite entries whose squares overflow never reach a factorization
+    with pytest.raises(ValueError, match="non-finite Frobenius norm"):
+        collinear(builtin_sic(2), 1e300)
+
+
 def test_collinear_antiparallel_qubit_sic():
     L = builtin_sic(2)
     anti = collinear(L, -1.0)
@@ -257,6 +271,27 @@ def test_random_unbiased_mic_weights():
     basis = random_unbiased_mic(2, 7)
     np.testing.assert_allclose(basis.weights, 0.5, atol=1e-10)
     assert basis.classify().is_mic
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_whiten_to_identity_sums_to_identity(d, rng):
+    W = rng.standard_normal((d * d, d, d)) + 1j * rng.standard_normal((d * d, d, d))
+    ops = W @ W.conj().transpose(0, 2, 1)
+    out = _whiten_to_identity(ops)
+    assert np.max(np.abs(out.sum(axis=0) - np.eye(d))) <= 1e-9
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+
+def test_whiten_to_identity_scaled_identity():
+    ops = np.stack([np.eye(2), np.eye(2), 2 * np.eye(2)]).astype(complex)
+    np.testing.assert_allclose(_whiten_to_identity(ops), ops / 4, atol=1e-15)
+
+
+@pytest.mark.parametrize("total", [np.diag([1.0, 0.0]), np.zeros((2, 2))],
+                         ids=["rank_deficient", "zero"])
+def test_whiten_to_identity_rejects_singular_sum(total):
+    with pytest.raises(SingularOperatorError, match="singular"):
+        _whiten_to_identity(total[None].astype(complex))
 
 
 def test_random_unbiased_wigner():

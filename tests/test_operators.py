@@ -3,12 +3,10 @@ import pytest
 
 from quasibasis.operators import (
     NonHermitianError,
-    SingularOperatorError,
     as_hermitian,
     coords_to_op,
     herm_onb,
     hs_inner,
-    mat_func_psd,
     op_to_coords,
 )
 
@@ -50,39 +48,14 @@ def test_as_hermitian_absorbs_noise():
     np.testing.assert_allclose(out, out.conj().T)
 
 
-def test_sqrt_of_identity():
-    np.testing.assert_allclose(mat_func_psd(np.eye(3), "sqrt"), np.eye(3))
-
-
-def test_inv_sqrt_scaled_identity():
-    np.testing.assert_allclose(
-        mat_func_psd(4 * np.eye(2), "inv_sqrt"), np.eye(2) / 2
-    )
-
-
-def test_sqrt_diagonal():
-    np.testing.assert_allclose(
-        mat_func_psd(np.diag([9.0, 4.0]), "sqrt"), np.diag([3.0, 2.0])
-    )
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
-def test_sqrt_squares_back(d, rng):
-    W = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    A = W @ W.conj().T
-    root = mat_func_psd(A, "sqrt")
-    err = np.linalg.norm(root @ root - A) / np.linalg.norm(A)
-    assert err <= 1e-9
-
-
-def test_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError, match="not PSD"):
-        mat_func_psd(SZ, "sqrt")
-
-
-def test_inv_sqrt_rejects_singular():
-    with pytest.raises(SingularOperatorError):
-        mat_func_psd(np.diag([1.0, 0.0]), "inv_sqrt", clip=0.0)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_as_hermitian_rejects_non_finite_norm(bad):
+    stack = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
+    stack[1, 0, 1] = stack[1, 1, 0] = bad
+    with pytest.raises(ValueError, match=r"non-finite .*\(element 1\)"):
+        as_hermitian(stack)
+    with pytest.raises(ValueError, match="non-finite"):
+        as_hermitian(stack[1])
 
 
 def test_herm_onb_qubit_is_paulis():
@@ -125,13 +98,3 @@ def test_coords_isometry(rng):
         assert op_to_coords(A) @ op_to_coords(B) == pytest.approx(
             hs_inner(A, B), abs=1e-11
         )
-
-
-def test_inv_sqrt_rejects_zero_matrix():
-    with pytest.raises(SingularOperatorError, match="non-positive"):
-        mat_func_psd(np.zeros((2, 2)), "inv_sqrt")
-
-
-def test_unknown_matrix_function_rejected():
-    with pytest.raises(ValueError, match="unknown matrix function"):
-        mat_func_psd(np.eye(2), np.exp)

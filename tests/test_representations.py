@@ -7,8 +7,10 @@ from quasibasis.constructions import (
     random_unbiased_mic,
     wootters_wigner,
 )
+from quasibasis import representations
 from quasibasis.representations import (
     POVMValidationError,
+    _born,
     QuasiDistribution,
     StateValidationError,
     conditional_matrix,
@@ -224,3 +226,31 @@ def test_conditional_matrix_rejects_zero_weight():
 
     with pytest.raises(ValueError, match="zero-weight"):
         conditional_matrix(np.stack([np.eye(2)]), zero_weight_basis())
+
+
+def test_born_contraction_matches_trace(rng):
+    D = random_povm(4, 5, rng)
+    rho = random_density(4, rng)
+    np.testing.assert_allclose(
+        _born(D, rho), np.einsum("jab,ba->j", D, rho).real, atol=1e-15
+    )
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _born(D, np.eye(3) / 3)
+
+
+def test_born_layer_validates_each_state_once(monkeypatch, rng):
+    calls = []
+    real = representations.validate_state
+
+    def counting(rho):
+        calls.append(1)
+        return real(rho)
+
+    monkeypatch.setattr(representations, "validate_state", counting)
+    basis = random_unbiased_mic(3, 8)
+    D = random_povm(3, 4, rng)
+    rho = random_density(3, rng)
+    for call in (gauge_split, two_step_q):
+        calls.clear()
+        call(D, basis, rho)
+        assert len(calls) == 1, call.__name__

@@ -116,6 +116,41 @@ def test_readers_reject_non_finite_entries(tmp_path, kind):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("kind", ["basis", "state", "fiducial"])
+@pytest.mark.parametrize("dimension", [None, 2.5, True],
+                         ids=["null", "fractional", "bool"])
+def test_readers_reject_bad_dimension(tmp_path, kind, dimension):
+    path = tmp_path / f"{kind}.json"
+    write, read, value = {
+        "basis": (write_basis, read_basis, builtin_sic(2)),
+        "state": (write_state, read_state, np.eye(2) / 2),
+        "fiducial": (write_fiducial, read_fiducial, np.array([1.0, 0.0])),
+    }[kind]
+    write(value, path)
+    doc = json.loads(path.read_text())
+    doc["dimension"] = dimension
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="'dimension' must be") as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["state", "fiducial"])
+def test_readers_reject_non_numeric_entries(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    if kind == "state":
+        write_state(np.eye(2) / 2, path)
+        read, key = read_state, "matrix"
+    else:
+        write_fiducial(np.array([1.0, 0.0]), path)
+        read, key = read_fiducial, "amplitudes"
+    doc = json.loads(path.read_text())
+    doc[key][0] = {"x": 1}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="not numbers|ragged"):
+        read(path)
+
+
 def test_state_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     rho = random_density(3, rng)
