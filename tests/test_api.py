@@ -167,3 +167,17 @@ def test_public_signatures():
                         found[key] = _parameters(member, skip_self=True)
             found[f"{mod}.{name}"] = _parameters(obj)
     assert found == SIGNATURES
+
+
+def test_superoperator_surface():
+    # SuperOperator is retired: frame operators are plain (d², d²) arrays,
+    # and no module keeps the class under its old name.
+    assert "SuperOperator" not in vars(quasibasis)
+    for mod in MODULES:
+        module = importlib.import_module(f"quasibasis.{mod}")
+        assert not hasattr(module, "SuperOperator")
+
+
+def test_triple_products_signature():
+    params = inspect.signature(quasibasis.triple_products).parameters
+    assert list(params) == ["basis"]
