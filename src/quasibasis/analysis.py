@@ -66,7 +66,10 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
             f"(classification: {cls.summary()})"
         )
     d = mic.dim
-    lam = np.linalg.eigvalsh(gram(mic))  # isospectral to the frame operator
+    # The Gram spectrum (isospectral to the frame operator) from the
+    # eigvalsh taken at construction, not from the Loewdin SVD that gives
+    # PW: lower_saturation then compares two independent computations.
+    lam = mic._structure.gram_spectrum.copy()
     root = np.sqrt(np.maximum(lam, 0.0))
     ref = np.sqrt(1.0 / d)
     lower = float(np.sum((root - ref) ** 2))
@@ -78,11 +81,11 @@ def distance_report(mic: MeasureBasis,
                     wigner_basis: MeasureBasis) -> DistanceReport:
     """Distance of an unbiased MIC to an unbiased Wigner basis with the
     bound values and saturation flags (within SATURATION_TOL) filled in."""
-    wcls = wigner_basis.classify()
-    if not (wcls.is_wigner and wcls.is_unbiased):
+    checks = wigner_basis._structure
+    if not (checks.is_wigner and checks.is_unbiased):
         raise ValueError(
             "distance report requires an unbiased Wigner basis "
-            f"(classification: {wcls.summary()})"
+            f"(classification: {wigner_basis.classify().summary()})"
         )
     report = distance_bounds(mic)
     dist = distance(mic, wigner_basis)
@@ -127,7 +130,10 @@ def ceiling_negativity_sampled(wigner_basis: MeasureBasis,
     to the eigenvector of the smallest eigenvalue of F_i. Matrix-vector
     products only, no eigensolver. The result is the negativity of a real
     state, less a rounding bound, so it never exceeds ceiling_negativity.
+    Raises ValueError if n_samples is below 1.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     F = wigner_basis.elements
     d = wigner_basis.dim
     rng = np.random.default_rng(seed)

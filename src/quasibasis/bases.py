@@ -6,6 +6,12 @@ of d x d operators with sum(L_i) = I and tr(L_i) >= 0. MICs (all elements
 positive semidefinite) and Wigner bases (Gram matrix diagonal) are the two
 refinements everything else in the package revolves around.
 
+The three invariants, the Wigner property and unbiasedness are statements
+about the bias and the Gram matrix, so MeasureBasis checks them at
+construction from one Gram matrix and one eigvalsh of it, and keeps both.
+Only the MIC and rank-1 refinements need each element's own spectrum; that
+batched eigvalsh runs on the first classify() and its report is cached.
+
 Phi = A G^{-1} and sqrt(Phi) are A^{1/2} U Sigma^{-p} U^T A^{-1/2} (p = 2, 1)
 from the SVD A^{-1/2} C = U Sigma V^T that MeasureBasis._lowdin caches. The
 frame operators are real d^2 x d^2 matrices acting on herm_onb coordinates.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +48,16 @@ WEIGHT_TOL = 1e-12
 
 
 class BasisValidationError(ValueError):
-    """Candidate element set is not a valid measure basis."""
+    """Candidate element set is not a valid measure basis.
+
+    ``failures`` maps each broken invariant to its residual, as in
+    BasisClass.failures; it is empty when the candidate is malformed or its
+    classification inconsistent rather than an invariant broken.
+    """
+
+    def __init__(self, message: str, failures: dict[str, float] | None = None):
+        super().__init__(message)
+        self.failures = dict(failures or {})
 
 
 @dataclass(frozen=True)
@@ -64,9 +80,7 @@ class BasisClass:
 
     def summary(self) -> str:
         if not self.is_measure_basis:
-            return "not a measure basis: " + ", ".join(
-                f"{k}={v:.3e}" for k, v in self.failures.items()
-            )
+            return _failure_summary(self.failures)
         tags = ["measure basis"]
         if self.is_mic:
             tags.append("MIC")
@@ -77,6 +91,12 @@ class BasisClass:
         if self.is_rank1:
             tags.append("rank-1")
         return ", ".join(tags)
+
+
+def _failure_summary(failures: dict[str, float]) -> str:
+    return "not a measure basis: " + ", ".join(
+        f"{k}={v:.3e}" for k, v in failures.items()
+    )
 
 
 def _element_stack(candidate) -> np.ndarray:
@@ -100,8 +120,11 @@ class MeasureBasis:
 
     Construction symmetrizes the elements, then checks the three defining
     invariants (sum to identity, nonnegative traces, linear independence)
-    and raises BasisValidationError on any violation. Element order is
-    significant and preserved.
+    from the Gram matrix and its spectrum, and raises BasisValidationError,
+    with the broken invariants in its ``failures``, on any violation. The
+    Gram matrix, its spectrum and the Wigner and unbiased flags are kept;
+    the element spectra wait for classify(). Element order is significant
+    and preserved.
     """
 
     def __init__(self, elements, label: str = ""):
@@ -110,9 +133,15 @@ class MeasureBasis:
         self.dim = elements.shape[1]
         self.elements = elements
         self.label = label
-        self._class = validate(self)
-        if not self._class.is_measure_basis:
-            raise BasisValidationError(self._class.summary())
+        checks = _structure(elements)
+        if checks.failures:
+            raise BasisValidationError(_failure_summary(checks.failures),
+                                       checks.failures)
+        for array in checks.weights, checks.gram, checks.gram_spectrum:
+            array.setflags(write=False)
+        self._structure = checks
+        if checks.is_wigner and not _certainly_not_mic(checks, self.dim):
+            self.classify()  # runs the MIC-and-Wigner guard on the spectra
 
     def __len__(self):
         return self.elements.shape[0]
@@ -123,12 +152,10 @@ class MeasureBasis:
     def __getitem__(self, i):
         return self.elements[i]
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        """Bias vector l_i = tr(L_i), recomputed from the elements."""
-        w = np.einsum("aii->a", self.elements).real
-        w.setflags(write=False)
-        return w
+        """Bias vector l_i = tr(L_i), from the construction-time checks."""
+        return self._structure.weights
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -155,8 +182,14 @@ class MeasureBasis:
             )
         return U, s, Vt
 
+    @cached_property
+    def _class(self) -> BasisClass:
+        return _classified(self._structure, np.linalg.eigvalsh(self.elements))
+
     def classify(self) -> BasisClass:
-        """The construction-time report (at VALIDATION_TOL)."""
+        """The full report at VALIDATION_TOL, equal to validate() of the
+        elements. The first call runs one batched eigvalsh of the elements
+        (for the MIC and rank-1 refinements); later calls return it."""
         return self._class
 
     def __repr__(self):
@@ -190,19 +223,24 @@ def _positive_weights(basis: MeasureBasis, what: str) -> np.ndarray:
     return w
 
 
-def validate(candidate) -> BasisClass:
-    """Classify a candidate element set (array-like of d^2 Hermitian d x d
-    matrices, or a MeasureBasis) at VALIDATION_TOL.
+class _Structure(NamedTuple):
+    """What a candidate's bias and Gram matrix decide: the broken
+    invariants, the Gram matrix with its ascending spectrum and condition,
+    and the Wigner and unbiased flags."""
 
-    Returns a full report rather than raising, except for structurally
-    malformed input (wrong element count, mismatched dimensions).
-    """
-    if isinstance(candidate, MeasureBasis):
-        elements = candidate.elements
-    else:
-        elements = _element_stack(candidate)
+    failures: dict[str, float]
+    weights: np.ndarray
+    gram: np.ndarray
+    gram_spectrum: np.ndarray
+    condition: float
+    is_wigner: bool
+    is_unbiased: bool
+
+
+def _structure(elements: np.ndarray) -> _Structure:
+    """The structural checks of a symmetrized element stack at
+    VALIDATION_TOL, from one Gram matrix and one eigvalsh of it."""
     d = elements.shape[1]
-
     failures: dict[str, float] = {}
 
     sum_resid = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
@@ -224,41 +262,76 @@ def validate(candidate) -> BasisClass:
         failures["linear_independence"] = condition
 
     is_measure_basis = not failures
+    max_offdiag = float(np.max(np.abs(G - np.diag(np.diag(G)))))
+    return _Structure(
+        failures=failures,
+        weights=weights,
+        gram=G,
+        gram_spectrum=gvals,
+        condition=condition,
+        is_wigner=is_measure_basis and max_offdiag <= VALIDATION_TOL,
+        is_unbiased=is_measure_basis and bool(
+            np.max(np.abs(weights - 1.0 / d)) <= VALIDATION_TOL
+        ),
+    )
 
-    eigs = np.linalg.eigvalsh(elements)  # (n, d), ascending per element
+
+def _certainly_not_mic(checks: _Structure, d: int) -> bool:
+    """Whether the Gram diagonal alone rules out a MIC at VALIDATION_TOL.
+
+    A Hermitian F with every eigenvalue >= -tau has
+    tr F^2 <= (tr F + d tau)^2 + d tau^2, so an element whose G_ii exceeds
+    that bound (beyond the rounding of G_ii) has an eigenvalue below -tau.
+    False means undecided, not MIC.
+    """
+    tau = VALIDATION_TOL
+    bound = (checks.weights + d * tau) ** 2 + d * tau**2
+    rounding = 1.0 + 4 * checks.gram.shape[0] * np.finfo(float).eps
+    return bool(np.any(np.diag(checks.gram) > bound * rounding))
+
+
+def _classified(checks: _Structure, eigs: np.ndarray) -> BasisClass:
+    """The report from the structural checks and the element spectra (one
+    ascending row per element). Raises BasisValidationError if the
+    candidate comes out both MIC and Wigner, which no measure basis is."""
+    is_measure_basis = not checks.failures
     min_eigenvalue = float(eigs[:, 0].min())
     is_mic = is_measure_basis and min_eigenvalue >= -VALIDATION_TOL
-
-    offdiag = G - np.diag(np.diag(G))
-    max_offdiag = float(np.max(np.abs(offdiag)))
-    is_wigner = is_measure_basis and max_offdiag <= VALIDATION_TOL
-
-    if is_mic and is_wigner:
+    if is_mic and checks.is_wigner:
         raise BasisValidationError(
             "classified as both MIC and Wigner basis; impossible for a "
             "measure basis, so the tolerance is inconsistent with the input"
         )
-
-    is_unbiased = is_measure_basis and bool(
-        np.max(np.abs(weights - 1.0 / d)) <= VALIDATION_TOL
-    )
-    is_rank1 = is_measure_basis and bool(np.all(_element_ranks(eigs) == 1))
-
     return BasisClass(
         is_measure_basis=is_measure_basis,
         is_mic=is_mic,
-        is_wigner=is_wigner,
-        is_unbiased=is_unbiased,
-        is_rank1=is_rank1,
+        is_wigner=checks.is_wigner,
+        is_unbiased=checks.is_unbiased,
+        is_rank1=is_measure_basis and bool(np.all(_element_ranks(eigs) == 1)),
         min_eigenvalue=min_eigenvalue,
-        gram_condition=condition,
-        failures=failures,
+        gram_condition=checks.condition,
+        failures=checks.failures,
     )
+
+
+def validate(candidate) -> BasisClass:
+    """Classify a candidate element set (array-like of d^2 Hermitian d x d
+    matrices, or a MeasureBasis) at VALIDATION_TOL.
+
+    Returns a full report rather than raising, except for structurally
+    malformed input (wrong element count, mismatched dimensions). A raw
+    stack is checked eagerly, element spectra included; a MeasureBasis
+    answers with its classify().
+    """
+    if isinstance(candidate, MeasureBasis):
+        return candidate.classify()
+    elements = _element_stack(candidate)
+    return _classified(_structure(elements), np.linalg.eigvalsh(elements))
 
 
 def gram(basis: MeasureBasis) -> np.ndarray:
     """Gram matrix G_ij = tr(L_i L_j); symmetric positive semidefinite."""
-    return _gram_of(basis.elements)
+    return basis._structure.gram.copy()
 
 
 def bias(basis: MeasureBasis) -> np.ndarray:
@@ -281,10 +354,11 @@ def dual_basis(basis) -> np.ndarray:
     X = sum_i tr(X dual_i) L_i = sum_i tr(X L_i) dual_i.
     """
     if isinstance(basis, MeasureBasis):
-        elements = basis.elements
+        elements, G = basis.elements, basis._structure.gram
     else:
         elements = as_hermitian(basis)
-    vals, vecs = np.linalg.eigh(_gram_of(elements))
+        G = _gram_of(elements)
+    vals, vecs = np.linalg.eigh(G)
     if vals[0] <= 0 or vals[-1] / vals[0] > MAX_GRAM_CONDITION:
         raise SingularOperatorError(
             f"Gram matrix numerically singular (condition "

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import analysis, constructions, representations, serialize
-from .bases import MeasureBasis, born_matrix
+from .bases import BasisValidationError, MeasureBasis, born_matrix
 from .wigner import principal_wigner, shifted
 
 USAGE_ERROR = 2
@@ -287,6 +288,8 @@ def _write_gamma_csv(gamma: np.ndarray, path) -> None:
 
 
 def _verify_negativity(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     F = serialize.read_basis(args.infile)
     if not F.classify().is_wigner:
         raise InputError("negativity suite needs a Wigner basis")
@@ -432,7 +435,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, ValueError, OSError, KeyError) as exc:
-        _emit("error", {"message": str(exc)}, [])
+        payload = {"message": str(exc)}
+        if isinstance(exc, BasisValidationError):
+            # JSON has no inf: a singular Gram matrix's condition is null
+            payload["failures"] = {
+                name: value if math.isfinite(value) else None
+                for name, value in exc.failures.items()
+            }
+        _emit("error", payload, [])
         return USAGE_ERROR
     except ArithmeticError as exc:
         _emit("error", {"message": str(exc)}, [])

@@ -220,7 +220,9 @@ def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
     """The collinear family member L^t_i = t L_i + (1-t) (l_i/d) I.
 
     A measure basis with the same bias for every t != 0; parallel to L for
-    t > 0, antiparallel for t < 0.
+    t > 0, antiparallel for t < 0. A member that fails validation in
+    floating point (|t| so large or small that the elements are
+    numerically dependent) raises BasisValidationError naming t.
     """
     if t == 0:
         raise ValueError("t = 0 collapses every element onto the identity")
@@ -231,7 +233,11 @@ def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
     elements = t * basis.elements + (
         (1 - t) / d
     ) * basis.weights[:, None, None] * eye
-    return MeasureBasis(elements, label=f"{basis.label} ^ t={t:g}")
+    try:
+        return MeasureBasis(elements, label=f"{basis.label} ^ t={t:g}")
+    except BasisValidationError as exc:
+        raise BasisValidationError(f"collinear member at t={t:g} is {exc}",
+                                   exc.failures) from exc
 
 
 def mic_t_range(basis: MeasureBasis) -> tuple[float, float]:

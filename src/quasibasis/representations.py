@@ -199,8 +199,7 @@ def gauge_split(effects, basis: MeasureBasis, rho) -> GaugeSplit:
     bases (Phi must be symmetric for a symmetric square root); raises
     ArithmeticError if the split misses the direct probabilities by more
     than STATE_TOL."""
-    cls = basis.classify()
-    if not cls.is_unbiased:
+    if not basis._structure.is_unbiased:
         raise ValueError(
             "gauge split requires an unbiased reference basis: the Born "
             "matrix of a biased basis is not symmetric, so an even-handed "

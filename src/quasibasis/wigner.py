@@ -25,7 +25,6 @@ from .bases import (
     MeasureBasis,
     VALIDATION_TOL,
     _born_power,
-    gram,
 )
 from .constructions import collinear
 from .operators import SingularOperatorError, _mix, coords_to_op
@@ -98,7 +97,8 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     polar = np.sqrt(basis.weights)[:, None] * (U @ Vt)
     via_polar = coords_to_op(polar, basis.dim)
 
-    via_sqrtphi = _mix(_born_sqrt(gram(basis), basis.weights), basis.elements)
+    via_sqrtphi = _mix(_born_sqrt(basis._structure.gram, basis.weights),
+                       basis.elements)
 
     cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
     if cross_error > CROSS_CHECK_TOL:
@@ -108,8 +108,8 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
         )
 
     out = MeasureBasis(via_polar, label=f"PW({basis.label})")
-    cls = out.classify()
-    if not cls.is_wigner:
+    if not out._structure.is_wigner:
+        cls = out.classify()
         raise ArithmeticError(
             "principal Wigner output failed orthogonality validation "
             f"(min eigenvalue {cls.min_eigenvalue:.3e}, "
@@ -133,11 +133,10 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
 def shifted(basis: MeasureBasis) -> MeasureBasis:
     """The shifted Wigner basis -F_i + (2 f_i / d) I; a Wigner basis with
     the same bias, and an involution: the collinear member at t = -1."""
-    cls = basis.classify()
-    if not cls.is_wigner:
+    if not basis._structure.is_wigner:
         raise ValueError(
             "shifted basis is only defined for Wigner bases "
-            f"(input classified as: {cls.summary()})"
+            f"(input classified as: {basis.classify().summary()})"
         )
     out = collinear(basis, -1.0)
     out.label = f"shifted {basis.label}"
@@ -216,8 +215,7 @@ def lift(wigner_basis: MeasureBasis, reference: MeasureBasis) -> MeasureBasis:
     so together with collinear scaling it reaches MICs in the Wigner
     equivalence class of F.
     """
-    cls = wigner_basis.classify()
-    if not cls.is_wigner:
+    if not wigner_basis._structure.is_wigner:
         raise ValueError("lift input must be a Wigner basis")
     if wigner_basis.dim != reference.dim:
         raise ValueError("dimension mismatch")

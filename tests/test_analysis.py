@@ -133,6 +133,13 @@ def test_ceiling_negativity_sampling_oracle():
     assert 0 <= exact - sampled <= 1e-3
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_ceiling_negativity_sampled_rejects_empty_sample(n_samples):
+    pw = principal_wigner(builtin_sic(2)).basis
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        ceiling_negativity_sampled(pw, n_samples=n_samples)
+
+
 def test_ceiling_negativity_random_wigner_matches_sic_in_d2():
     # in d=2 all unbiased Wigner bases are unitary/permutation equivalent
     pw_val = ceiling_negativity(principal_wigner(builtin_sic(2)).basis)

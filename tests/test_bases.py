@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quasibasis import bases
 from quasibasis.bases import (
     BasisValidationError,
     MeasureBasis,
@@ -15,9 +16,13 @@ from quasibasis.bases import (
 )
 from quasibasis.constructions import (
     builtin_sic,
+    collinear,
+    mic_t_range,
     random_mic,
     random_unbiased_mic,
     sic_gram,
+    tensor_basis,
+    tensorhedron,
     wootters_wigner,
 )
 from quasibasis.operators import (
@@ -26,7 +31,7 @@ from quasibasis.operators import (
     herm_onb,
     op_to_coords,
 )
-from quasibasis.wigner import principal_wigner
+from quasibasis.wigner import principal_wigner, shifted
 
 from conftest import SX, SY, SZ, random_hermitian
 
@@ -71,6 +76,62 @@ def test_validate_wrong_count():
 def test_measure_basis_rejects_bad_sum():
     with pytest.raises(BasisValidationError, match="sum_to_identity"):
         MeasureBasis(np.stack([np.eye(2)] * 4))
+
+
+def _outside_mic_range(L):
+    lo, hi = mic_t_range(L)
+    return [collinear(L, 2 * lo), collinear(L, 2 * hi)]
+
+
+CLASSIFY_CASES = {
+    "sic2": lambda: [builtin_sic(2)],
+    "sic3": lambda: [builtin_sic(3)],
+    "random_mic": lambda: [random_mic(d, s) for d in (2, 3, 4) for s in (1, 2)],
+    "unbiased_mic": lambda: [random_unbiased_mic(d, s)
+                             for d in (2, 3, 4) for s in (1, 2)],
+    "pw": lambda: [principal_wigner(L).basis
+                   for L in (builtin_sic(3), random_mic(3, 4),
+                             random_unbiased_mic(4, 2))],
+    "shifted_pw": lambda: [shifted(principal_wigner(L).basis)
+                           for L in (builtin_sic(2), random_mic(4, 5))],
+    "wootters": lambda: [wootters_wigner(p) for p in (2, 3, 5)],
+    "tensor": lambda: [tensorhedron(2),
+                       tensor_basis(random_mic(2, 3), wootters_wigner(3))],
+    "collinear": lambda: (_outside_mic_range(random_unbiased_mic(3, 2))
+                          + _outside_mic_range(random_mic(2, 7))),
+}
+
+
+@pytest.mark.parametrize("kind", CLASSIFY_CASES)
+def test_classify_on_demand_equals_eager_validate(kind):
+    for basis in CLASSIFY_CASES[kind]():
+        raw = np.array(basis.elements)
+        fresh = MeasureBasis(raw)
+        assert "_class" not in vars(fresh)  # nothing classified yet
+        # every field, failures and the float residuals included
+        assert fresh.classify() == validate(raw)
+        assert validate(fresh) is fresh.classify()
+
+
+def test_mic_and_wigner_guard_runs_at_construction(monkeypatch):
+    # At tolerance 1 the qubit SIC (off-diagonal Gram 1/12) reads as both
+    # MIC and Wigner; the Gram-diagonal certificate cannot rule out a MIC,
+    # so construction falls back to the element spectra and raises.
+    raw = np.array(builtin_sic(2).elements)
+    monkeypatch.setattr(bases, "VALIDATION_TOL", 1.0)
+    with pytest.raises(BasisValidationError, match="both MIC and Wigner"):
+        MeasureBasis(raw)
+
+
+def test_validation_error_carries_failures():
+    raw = np.stack([np.eye(2) / 2] * 4)
+    with pytest.raises(BasisValidationError) as info:
+        MeasureBasis(raw)
+    report = validate(raw)
+    assert str(info.value) == report.summary()
+    assert info.value.failures == report.failures
+    assert set(info.value.failures) == {"sum_to_identity",
+                                        "linear_independence"}
 
 
 def test_gram_qubit_sic_closed_form():

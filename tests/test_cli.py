@@ -314,6 +314,50 @@ def test_verify_negativity_rejects_mic(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_negativity_rejects_empty_sample(tmp_path, capsys, samples):
+    from quasibasis.wigner import principal_wigner
+
+    path = tmp_path / "pw2.json"
+    write_basis(principal_wigner(builtin_sic(2)).basis, path)
+    code, doc = run_json(capsys, "verify", "negativity", "--in", str(path),
+                         "--samples", samples)
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["message"] == f"--samples must be >= 1, got {samples}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "collinear", "--t", "0.5,1e7"),
+    ("construct", "collinear", "--t", "1e7"),
+], ids=["verify", "construct"])
+def test_rejected_collinear_member_names_t(tmp_path, capsys, argv):
+    sic = tmp_path / "sic2.json"
+    write_basis(builtin_sic(2), sic)
+    out = ["--out", str(tmp_path / "x.json")] if argv[0] == "construct" else []
+    code, doc = run_json(capsys, *argv, "--in", str(sic), *out)
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["message"].startswith(
+        "collinear member at t=1e+07 is not a measure basis: "
+        "linear_independence="
+    )
+    assert list(doc["payload"]["failures"]) == ["linear_independence"]
+
+
+def test_rejected_basis_error_reports_failures(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "elements": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]] * 4,
+    }))
+    code, doc = run_json(capsys, "pw", "--in", str(path),
+                         "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert list(doc["payload"]) == ["message", "failures"]
+    # the singular Gram matrix's infinite condition is null in JSON
+    assert doc["payload"]["failures"] == {"sum_to_identity": 1.0,
+                                          "linear_independence": None}
+
+
 def test_represent_probs_garbage_state(tmp_path, capsys):
     sic = tmp_path / "sic2.json"
     write_basis(builtin_sic(2), sic)

@@ -117,44 +117,48 @@ def test_principal_wigner_ill_conditioned_collinear(d, seed, t):
 
 def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
     raw = np.array(random_mic(4, 3).elements)
-    calls = []  # (factorization, made inside validate)
+    calls = []  # (factorization, made inside a construction-time check, ndim)
     inside = [0]
-    validations = [0]
-    real_validate = bases.validate
+    checks = [0]
+    real_structure = bases._structure
 
-    def counting_validate(*args, **kwargs):
-        validations[0] += 1
+    def counting_structure(*args, **kwargs):
+        checks[0] += 1
         inside[0] += 1
         try:
-            return real_validate(*args, **kwargs)
+            return real_structure(*args, **kwargs)
         finally:
             inside[0] -= 1
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
-            calls.append((name, inside[0] > 0))
+            calls.append((name, inside[0] > 0, np.ndim(args[0])))
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(bases, "validate", counting_validate)
+    monkeypatch.setattr(bases, "_structure", counting_structure)
     for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cond", "inv",
                  "pinv", "solve", "lstsq", "qr", "cholesky"):
         monkeypatch.setattr(np.linalg, name,
                             counting(name, getattr(np.linalg, name)))
 
     L = MeasureBasis(raw)
-    assert validations == [1]
+    # one check, whose only factorization is the eigvalsh of the (n, n) Gram
+    assert checks == [1]
+    assert calls == [("eigvalsh", True, 2)]
     calls.clear()
     res = principal_wigner(L)
     # one SVD (polar route) and one eigh (sqrt(Phi) route), plus the single
-    # validation of the output basis
-    assert sorted(name for name, in_validate in calls if not in_validate) \
+    # construction-time check of the output basis, which needs no element
+    # eigen-analysis for its MIC-and-Wigner guard
+    assert sorted(name for name, in_check, _ in calls if not in_check) \
         == ["eigh", "svd"]
-    assert validations == [2]
+    assert [c for c in calls if c[1]] == [("eigvalsh", True, 2)]
+    assert checks == [2]
     # a second call returns the stored, read-only result and redoes nothing
     calls.clear()
     assert principal_wigner(L) is res
-    assert calls == [] and validations == [2]
+    assert calls == [] and checks == [2]
     assert not (res.via_polar.flags.writeable
                 or res.via_sqrtphi.flags.writeable)
     # Phi and sqrt(Phi) reuse the cached SVD
@@ -162,6 +166,11 @@ def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
     born_matrix(L)
     sqrt_born(L)
     assert calls == []
+    # the element spectra wait for the first classify(), which caches them
+    cls = res.basis.classify()
+    assert calls == [("eigvalsh", False, 3)]
+    assert res.basis.classify() is cls
+    assert calls == [("eigvalsh", False, 3)] and checks == [2]
 
 
 def test_shifted_is_involution():
