@@ -286,8 +286,7 @@ class DiagnosticsReport:
 
 def _rank_profile(basis: MeasureBasis,
                   rtol: float = RANK_EIG_RTOL) -> list[int]:
-    eigs = np.linalg.eigvalsh(basis.elements)
-    return [int(r) for r in _element_ranks(eigs, rtol)]
+    return [int(r) for r in _element_ranks(basis._element_spectra, rtol)]
 
 
 def wh_covariant(basis: MeasureBasis) -> bool:

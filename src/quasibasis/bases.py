@@ -183,8 +183,16 @@ class MeasureBasis:
         return U, s, Vt
 
     @cached_property
+    def _element_spectra(self) -> np.ndarray:
+        """Ascending eigenvalues of each element, one row per element
+        (read-only), from one batched eigvalsh on first use."""
+        eigs = np.linalg.eigvalsh(self.elements)
+        eigs.setflags(write=False)
+        return eigs
+
+    @cached_property
     def _class(self) -> BasisClass:
-        return _classified(self._structure, np.linalg.eigvalsh(self.elements))
+        return _classified(self._structure, self._element_spectra)
 
     def classify(self) -> BasisClass:
         """The full report at VALIDATION_TOL, equal to validate() of the

@@ -27,9 +27,12 @@ class SchemaError(ValueError):
 
 
 def _fmt_float(x: float) -> str:
+    """17 significant digits, always read back as a float: an integral
+    value keeps a ".0" (1.0, -0.0, 4239135355719758.0)."""
     if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return text if any(c in text for c in ".e") else text + ".0"
 
 
 def dumps_json(obj, indent: int = 0) -> str:

@@ -12,10 +12,21 @@ cross-checks it against the linear combination F_i = sum_j [sqrt(Phi)]_ij L_j
 with sqrt(Phi) taken from an eigendecomposition of A^{-1/2} G A^{-1/2}
 instead: two routes on different factorizations, the strongest internal
 consistency check available. Nothing else uses that eigendecomposition.
+
+The routes share no intermediate result, so from d = 6 up (d^2 >=
+_CONCURRENT_MIN_N elements) the check route runs on one persistent worker
+thread while the calling thread takes the polar route, provided the host
+leaves a core for it: two or more CPUs in the process's affinity mask, and
+BLAS pinned to one thread (at least one of OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set, and every one that is set equal to
+1). Otherwise the routes run one after the other. Both ways compute the
+same numbers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +36,21 @@ from .bases import (
     MeasureBasis,
     VALIDATION_TOL,
     _born_power,
+    _positive_weights,
 )
 from .constructions import collinear
 from .operators import SingularOperatorError, _mix, coords_to_op
 
 CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
+
+# Smallest element count n = d^2 at which principal_wigner overlaps its two
+# routes. Below it, handing the check route to the worker costs more than
+# it saves (measured with one BLAS thread on two cores; see CHANGES.md).
+_CONCURRENT_MIN_N = 36
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 def sqrt_born(basis: MeasureBasis) -> np.ndarray:
@@ -79,6 +99,73 @@ def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return inner_root * np.outer(rw, 1.0 / rw)
 
 
+def _sqrtphi_route(G: np.ndarray, weights: np.ndarray,
+                   elements: np.ndarray) -> np.ndarray:
+    """The cross-check's element stack sum_j [sqrt(Phi)]_ij L_j."""
+    return _mix(_born_sqrt(G, weights), elements)
+
+
+def _concurrent(n: int) -> bool:
+    """Whether principal_wigner runs the check route of a basis of n
+    elements on the worker thread: n >= _CONCURRENT_MIN_N, two or more CPUs
+    available to the process, and BLAS pinned to one thread, so that the
+    two routes do not compete for one core's BLAS."""
+    if n < _CONCURRENT_MIN_N:
+        return False
+    pinned = [os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ]
+    if not pinned or any(v.strip() != "1" for v in pinned):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+# (pid, job queue) of the worker thread; a forked child has a different pid
+# and starts its own, since it does not inherit the parent's thread. The
+# lock keeps two first callers from starting two workers.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _serve(jobs) -> None:
+    while True:
+        func, args, reply = jobs.get()
+        try:
+            reply.put((func(*args), None))
+        except BaseException as exc:  # handed to the waiting caller
+            reply.put((None, exc))
+
+
+def _submit(func, *args):
+    """Queue func(*args) on the worker thread, starting it on first use in
+    this process; returns the queue that receives (result, exception)."""
+    global _worker
+    # imported here, so a process that never overlaps does not pay for it
+    from queue import SimpleQueue
+
+    worker = _worker
+    if worker is None or worker[0] != os.getpid():
+        with _worker_lock:
+            if _worker is None or _worker[0] != os.getpid():
+                jobs = SimpleQueue()
+                threading.Thread(target=_serve, args=(jobs,), daemon=True,
+                                 name="quasibasis-check-route").start()
+                _worker = (os.getpid(), jobs)
+            worker = _worker
+    reply = SimpleQueue()
+    worker[1].put((func, args, reply))
+    return reply
+
+
+def _result(reply):
+    """Wait for a job queued by _submit; return its result or raise its
+    exception."""
+    value, exc = reply.get()
+    if exc is not None:
+        raise exc
+    return value
+
+
 def principal_wigner(basis: MeasureBasis) -> PWResult:
     """The principal Wigner basis of a measure basis with positive weights:
     the image of each element under the inverse square root of the rescaled
@@ -93,12 +180,19 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     cached = basis.__dict__.get("_principal_wigner")
     if cached is not None:
         return cached
-    U, _, Vt = basis._lowdin
-    polar = np.sqrt(basis.weights)[:, None] * (U @ Vt)
-    via_polar = coords_to_op(polar, basis.dim)
-
-    via_sqrtphi = _mix(_born_sqrt(basis._structure.gram, basis.weights),
-                       basis.elements)
+    # both routes divide by the weights: reject a zero weight before either
+    w = _positive_weights(basis, "the Loewdin factorization")
+    check = (basis._structure.gram, w, basis.elements)
+    reply = _submit(_sqrtphi_route, *check) if _concurrent(len(basis)) else None
+    try:
+        U, _, Vt = basis._lowdin
+        polar = np.sqrt(w)[:, None] * (U @ Vt)
+        via_polar = coords_to_op(polar, basis.dim)
+    except BaseException:
+        if reply is not None:
+            reply.get()  # the polar route's error wins, as inline
+        raise
+    via_sqrtphi = _sqrtphi_route(*check) if reply is None else _result(reply)
 
     cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
     if cross_error > CROSS_CHECK_TOL:

@@ -261,6 +261,24 @@ def test_diagnostics_random_mic_not_equiangular():
     assert not report.wh_covariant
 
 
+def test_diagnostics_reads_the_classified_element_spectra(monkeypatch):
+    basis = random_mic(3, 1)
+    basis.classify()
+    ndims = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    report = diagnostics(basis)
+    assert 3 not in ndims  # no batched eigen-analysis of the elements
+    ranks = np.sum(np.abs(real_eigvalsh(basis.elements)) > 1e-8 * np.abs(
+        real_eigvalsh(basis.elements)).max(axis=1, keepdims=True), axis=1)
+    assert report.rank_profile == ranks.tolist()
+
+
 def test_rank_profile_threshold_stability():
     from quasibasis.analysis import _rank_profile
 

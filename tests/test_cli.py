@@ -358,6 +358,26 @@ def test_rejected_basis_error_reports_failures(tmp_path, capsys):
                                           "linear_independence": None}
 
 
+def test_error_failures_are_json_floats(tmp_path, capsys):
+    # the Hesse SIC with its last element repeated: a finite condition
+    # above 2^53, an integral float
+    elements = np.array(builtin_sic(3).elements)
+    elements[-1] = elements[-2]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "elements": [[[[z.real, z.imag] for z in row] for row in E]
+                     for E in elements],
+    }))
+    code, doc = run_json(capsys, "pw", "--in", str(path),
+                         "--out", str(tmp_path / "x.json"))
+    failures = doc["payload"]["failures"]
+    assert code == 2
+    assert list(failures) == ["sum_to_identity", "linear_independence"]
+    assert failures["linear_independence"] >= 2.0**53
+    assert all(type(v) is float for v in failures.values())
+
+
 def test_represent_probs_garbage_state(tmp_path, capsys):
     sic = tmp_path / "sic2.json"
     write_basis(builtin_sic(2), sic)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -184,6 +185,23 @@ def test_floats_carry_17_significant_digits():
     text = dumps_json({"x": 1 / 3})
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == 1 / 3
+
+
+@pytest.mark.parametrize("value, text", [
+    (4239135355719758.0, "4239135355719758.0"),
+    (-0.0, "-0.0"),
+    (0.0, "0.0"),
+    (1.0, "1.0"),
+    (1e17, "1e+17"),
+    (2.5, "2.5"),
+])
+def test_integral_floats_stay_floats(value, text):
+    out = dumps_json({"x": value, "n": 3})
+    assert out == f'{{"x": {text}, "n": 3}}'
+    doc = json.loads(out)
+    assert type(doc["x"]) is float and type(doc["n"]) is int
+    assert doc["x"] == value
+    assert math.copysign(1.0, doc["x"]) == math.copysign(1.0, value)
 
 
 def test_reader_accepts_low_precision(tmp_path):
