@@ -66,10 +66,11 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
             f"(classification: {cls.summary()})"
         )
     d = mic.dim
-    # The Gram spectrum (isospectral to the frame operator) from the
-    # eigvalsh taken at construction, not from the Loewdin SVD that gives
-    # PW: lower_saturation then compares two independent computations.
-    lam = mic._structure.gram_spectrum.copy()
+    # The Gram spectrum (isospectral to the frame operator) from an
+    # eigvalsh of the Gram matrix (for a MIC, the one taken at
+    # construction), not from the Loewdin SVD that gives PW:
+    # lower_saturation then compares two independent computations.
+    lam = mic._gram_spectrum.copy()
     root = np.sqrt(np.maximum(lam, 0.0))
     ref = np.sqrt(1.0 / d)
     lower = float(np.sum((root - ref) ** 2))

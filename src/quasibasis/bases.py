@@ -8,9 +8,12 @@ refinements everything else in the package revolves around.
 
 The three invariants, the Wigner property and unbiasedness are statements
 about the bias and the Gram matrix, so MeasureBasis checks them at
-construction from one Gram matrix and one eigvalsh of it, and keeps both.
-Only the MIC and rank-1 refinements need each element's own spectrum; that
-batched eigvalsh runs on the first classify() and its report is cached.
+construction from one Gram matrix, and keeps it. A Wigner basis has a
+diagonal Gram matrix up to roundoff, and for one whose diagonal proves its
+independence (Gershgorin) no eigvalsh runs; any other candidate takes one
+eigvalsh of the Gram matrix. The Gram spectrum and exact condition, when
+construction did not need them, and the element spectra that the MIC and
+rank-1 refinements need, are computed on first use and cached.
 
 Phi = A G^{-1} and sqrt(Phi) are A^{1/2} U Sigma^{-p} U^T A^{-1/2} (p = 2, 1)
 from the SVD A^{-1/2} C = U Sigma V^T that MeasureBasis._lowdin caches. The
@@ -120,11 +123,12 @@ class MeasureBasis:
 
     Construction symmetrizes the elements, then checks the three defining
     invariants (sum to identity, nonnegative traces, linear independence)
-    from the Gram matrix and its spectrum, and raises BasisValidationError,
-    with the broken invariants in its ``failures``, on any violation. The
-    Gram matrix, its spectrum and the Wigner and unbiased flags are kept;
-    the element spectra wait for classify(). Element order is significant
-    and preserved.
+    from the Gram matrix, and raises BasisValidationError, with the broken
+    invariants in its ``failures``, on any violation. The Gram matrix and
+    the Wigner and unbiased flags are kept; the Gram spectrum is kept when
+    the independence check needed it and computed on first use otherwise,
+    and the element spectra wait for classify(). Element order is
+    significant and preserved.
     """
 
     def __init__(self, elements, label: str = ""):
@@ -138,10 +142,11 @@ class MeasureBasis:
             raise BasisValidationError(_failure_summary(checks.failures),
                                        checks.failures)
         for array in checks.weights, checks.gram, checks.gram_spectrum:
-            array.setflags(write=False)
+            if array is not None:
+                array.setflags(write=False)
         self._structure = checks
         if checks.is_wigner and not _certainly_not_mic(checks, self.dim):
-            self.classify()  # runs the MIC-and-Wigner guard on the spectra
+            _guard_mic_and_wigner(checks, self._element_spectra)
 
     def __len__(self):
         return self.elements.shape[0]
@@ -183,6 +188,15 @@ class MeasureBasis:
         return U, s, Vt
 
     @cached_property
+    def _gram_spectrum(self) -> np.ndarray:
+        """Ascending Gram eigenvalues (read-only): the construction-time
+        ones, or one eigvalsh on first use when the diagonal certificate
+        made them unnecessary there."""
+        gvals = _gram_spectrum_of(self._structure)
+        gvals.setflags(write=False)
+        return gvals
+
+    @cached_property
     def _element_spectra(self) -> np.ndarray:
         """Ascending eigenvalues of each element, one row per element
         (read-only), from one batched eigvalsh on first use."""
@@ -192,12 +206,15 @@ class MeasureBasis:
 
     @cached_property
     def _class(self) -> BasisClass:
-        return _classified(self._structure, self._element_spectra)
+        return _classified(self._structure, self._element_spectra,
+                           self._gram_spectrum)
 
     def classify(self) -> BasisClass:
         """The full report at VALIDATION_TOL, equal to validate() of the
         elements. The first call runs one batched eigvalsh of the elements
-        (for the MIC and rank-1 refinements); later calls return it."""
+        (for the MIC and rank-1 refinements), and one of the Gram matrix if
+        construction did not (for the exact condition); later calls return
+        it."""
         return self._class
 
     def __repr__(self):
@@ -233,21 +250,60 @@ def _positive_weights(basis: MeasureBasis, what: str) -> np.ndarray:
 
 class _Structure(NamedTuple):
     """What a candidate's bias and Gram matrix decide: the broken
-    invariants, the Gram matrix with its ascending spectrum and condition,
-    and the Wigner and unbiased flags."""
+    invariants, the Gram matrix with its largest off-diagonal magnitude,
+    its ascending spectrum (None when the diagonal certificate settled
+    independence without it), and the Wigner and unbiased flags."""
 
     failures: dict[str, float]
     weights: np.ndarray
     gram: np.ndarray
-    gram_spectrum: np.ndarray
-    condition: float
+    max_offdiag: float
+    gram_spectrum: np.ndarray | None
     is_wigner: bool
     is_unbiased: bool
 
 
+def _gram_spectrum_of(checks: _Structure) -> np.ndarray:
+    """The ascending Gram spectrum: the one the checks took, or one
+    eigvalsh of their Gram matrix if the diagonal certificate spared it."""
+    gvals = checks.gram_spectrum
+    return np.linalg.eigvalsh(checks.gram) if gvals is None else gvals
+
+
+def _gram_condition(gvals: np.ndarray) -> float:
+    """Condition number of a Gram matrix from its ascending spectrum; inf
+    unless every eigenvalue is positive."""
+    if gvals[-1] <= 0 or gvals[0] <= 0:
+        return np.inf
+    return float(gvals[-1] / gvals[0])
+
+
+def _certified_independent(G: np.ndarray, max_offdiag: float) -> bool:
+    """Whether the diagonal of a Gram matrix with off-diagonal entries at
+    most max_offdiag proves a condition within MAX_GRAM_CONDITION.
+
+    Every eigenvalue lies within r = (n - 1) max_offdiag of the diagonal
+    (Gershgorin); r also covers eigvalsh's rounding of 4 n eps ||G||, so a
+    spectrum that eigvalsh would reject is never certified. Only a nearly
+    diagonal G (max_offdiag <= VALIDATION_TOL) is tried; False means
+    undecided.
+    """
+    if max_offdiag > VALIDATION_TOL:
+        return False
+    n = G.shape[0]
+    diag = np.diag(G)
+    top = float(diag.max())
+    r = (n - 1) * max_offdiag + 4 * n * np.finfo(float).eps * top
+    low = float(diag.min()) - r
+    return low > 0 and top + r <= MAX_GRAM_CONDITION * low
+
+
 def _structure(elements: np.ndarray) -> _Structure:
     """The structural checks of a symmetrized element stack at
-    VALIDATION_TOL, from one Gram matrix and one eigvalsh of it."""
+    VALIDATION_TOL, from one Gram matrix. Linear independence comes from
+    the Gram diagonal when _certified_independent holds, as it does for
+    any well-conditioned Wigner basis, and from one eigvalsh of the Gram
+    matrix otherwise."""
     d = elements.shape[1]
     failures: dict[str, float] = {}
 
@@ -261,22 +317,21 @@ def _structure(elements: np.ndarray) -> _Structure:
         failures["nonnegative_traces"] = min_weight
 
     G = _gram_of(elements)
-    gvals = np.linalg.eigvalsh(G)
-    if gvals[-1] <= 0 or gvals[0] <= 0:
-        condition = np.inf
-    else:
-        condition = float(gvals[-1] / gvals[0])
-    if not np.isfinite(condition) or condition > MAX_GRAM_CONDITION:
-        failures["linear_independence"] = condition
+    max_offdiag = float(np.max(np.abs(G - np.diag(np.diag(G)))))
+    gvals = None
+    if not _certified_independent(G, max_offdiag):
+        gvals = np.linalg.eigvalsh(G)
+        condition = _gram_condition(gvals)
+        if not np.isfinite(condition) or condition > MAX_GRAM_CONDITION:
+            failures["linear_independence"] = condition
 
     is_measure_basis = not failures
-    max_offdiag = float(np.max(np.abs(G - np.diag(np.diag(G)))))
     return _Structure(
         failures=failures,
         weights=weights,
         gram=G,
+        max_offdiag=max_offdiag,
         gram_spectrum=gvals,
-        condition=condition,
         is_wigner=is_measure_basis and max_offdiag <= VALIDATION_TOL,
         is_unbiased=is_measure_basis and bool(
             np.max(np.abs(weights - 1.0 / d)) <= VALIDATION_TOL
@@ -298,26 +353,33 @@ def _certainly_not_mic(checks: _Structure, d: int) -> bool:
     return bool(np.any(np.diag(checks.gram) > bound * rounding))
 
 
-def _classified(checks: _Structure, eigs: np.ndarray) -> BasisClass:
-    """The report from the structural checks and the element spectra (one
-    ascending row per element). Raises BasisValidationError if the
-    candidate comes out both MIC and Wigner, which no measure basis is."""
-    is_measure_basis = not checks.failures
-    min_eigenvalue = float(eigs[:, 0].min())
-    is_mic = is_measure_basis and min_eigenvalue >= -VALIDATION_TOL
+def _guard_mic_and_wigner(checks: _Structure, eigs: np.ndarray) -> bool:
+    """Whether the candidate is a MIC, from the element spectra (one
+    ascending row per element). Raises BasisValidationError if it comes out
+    both MIC and Wigner, which no measure basis is."""
+    is_mic = not checks.failures and eigs[:, 0].min() >= -VALIDATION_TOL
     if is_mic and checks.is_wigner:
         raise BasisValidationError(
             "classified as both MIC and Wigner basis; impossible for a "
             "measure basis, so the tolerance is inconsistent with the input"
         )
+    return bool(is_mic)
+
+
+def _classified(checks: _Structure, eigs: np.ndarray,
+                gvals: np.ndarray) -> BasisClass:
+    """The report from the structural checks, the element spectra (one
+    ascending row per element) and the ascending Gram spectrum."""
+    is_measure_basis = not checks.failures
+    is_mic = _guard_mic_and_wigner(checks, eigs)
     return BasisClass(
         is_measure_basis=is_measure_basis,
         is_mic=is_mic,
         is_wigner=checks.is_wigner,
         is_unbiased=checks.is_unbiased,
         is_rank1=is_measure_basis and bool(np.all(_element_ranks(eigs) == 1)),
-        min_eigenvalue=min_eigenvalue,
-        gram_condition=checks.condition,
+        min_eigenvalue=float(eigs[:, 0].min()),
+        gram_condition=_gram_condition(gvals),
         failures=checks.failures,
     )
 
@@ -334,7 +396,9 @@ def validate(candidate) -> BasisClass:
     if isinstance(candidate, MeasureBasis):
         return candidate.classify()
     elements = _element_stack(candidate)
-    return _classified(_structure(elements), np.linalg.eigvalsh(elements))
+    checks = _structure(elements)
+    return _classified(checks, np.linalg.eigvalsh(elements),
+                       _gram_spectrum_of(checks))
 
 
 def gram(basis: MeasureBasis) -> np.ndarray:

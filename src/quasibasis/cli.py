@@ -145,7 +145,10 @@ def _cmd_pw(args) -> int:
         "path": str(args.out),
         "shifted": bool(args.shifted),
         "classification": _classification_payload(out_basis),
-    }, [{"name": "cross_error", "value": result.cross_error}])
+    }, [{"name": "cross_error", "value": result.cross_error},
+        {"name": "orthogonality_residual",
+         "value": result.orthogonality_residual},
+        {"name": "bias_deviation", "value": result.bias_deviation}])
     return 0
 
 

@@ -64,7 +64,10 @@ def as_hermitian(A) -> np.ndarray:
             "non-finite Frobenius norm" + where.format(np.argmin(finite))
             + ": a NaN or inf entry, or entries too large to square"
         )
-    herm = (A + np.swapaxes(A, -1, -2).conj()) / 2
+    # (A^dag + A) * 0.5 in one C-contiguous buffer: equal to (A + A^dag) / 2
+    herm = np.conjugate(np.swapaxes(A, -1, -2), out=np.empty(A.shape, complex))
+    herm += A
+    herm *= 0.5
     k = _flat(A - herm)
     asym = np.sqrt(np.einsum("...i,...i->...", k, k))
     scale = np.maximum(norm, 1.0)

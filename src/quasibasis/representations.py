@@ -137,10 +137,12 @@ class QuasiDistribution:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        resid = abs(self.values.sum() - 1.0)
+        total = float(self.values.sum())
+        resid = abs(total - 1.0)
         if resid > QUASI_SUM_TOL:
             raise ValueError(
-                f"quasidistribution sums to 1 {resid:.3e} away from 1"
+                f"quasidistribution sums to {total:.12g}, {resid:.3e} away "
+                "from 1"
             )
 
     @property

@@ -71,13 +71,18 @@ class PWResult:
     ``basis`` is the validated Wigner basis; ``via_polar`` and
     ``via_sqrtphi`` are the raw element stacks from the two routes
     (read-only), and ``cross_error`` their max elementwise deviation.
-    The input basis keeps its result, so every caller shares one instance.
+    ``orthogonality_residual`` is the largest off-diagonal magnitude of the
+    output's Gram matrix and ``bias_deviation`` the largest change of a
+    weight; the output check holds both to VALIDATION_TOL. The input basis
+    keeps its result, so every caller shares one instance.
     """
 
     basis: MeasureBasis
     via_polar: np.ndarray
     via_sqrtphi: np.ndarray
     cross_error: float
+    orthogonality_residual: float
+    bias_deviation: float
 
 
 def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -219,6 +224,8 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
         via_polar=via_polar,
         via_sqrtphi=via_sqrtphi,
         cross_error=cross_error,
+        orthogonality_residual=out._structure.max_offdiag,
+        bias_deviation=bias_dev,
     )
     basis.__dict__["_principal_wigner"] = result
     return result

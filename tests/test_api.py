@@ -78,7 +78,8 @@ SIGNATURES = {
     "constructions.random_unbiased_mic": ["d", "seed"],
     "constructions.random_unbiased_wigner": ["d", "seed"],
     "wigner.sqrt_born": ["basis"],
-    "wigner.PWResult": ["basis", "via_polar", "via_sqrtphi", "cross_error"],
+    "wigner.PWResult": ["basis", "via_polar", "via_sqrtphi", "cross_error",
+                        "orthogonality_residual", "bias_deviation"],
     "wigner.principal_wigner": ["basis"],
     "wigner.shifted": ["basis"],
     "wigner.EquivalenceResult": [

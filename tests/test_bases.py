@@ -20,6 +20,7 @@ from quasibasis.constructions import (
     mic_t_range,
     random_mic,
     random_unbiased_mic,
+    random_unbiased_wigner,
     sic_gram,
     tensor_basis,
     tensorhedron,
@@ -27,6 +28,7 @@ from quasibasis.constructions import (
 )
 from quasibasis.operators import (
     SingularOperatorError,
+    as_hermitian,
     coords_to_op,
     herm_onb,
     op_to_coords,
@@ -95,11 +97,25 @@ CLASSIFY_CASES = {
     "shifted_pw": lambda: [shifted(principal_wigner(L).basis)
                            for L in (builtin_sic(2), random_mic(4, 5))],
     "wootters": lambda: [wootters_wigner(p) for p in (2, 3, 5)],
+    "unbiased_wigner": lambda: [random_unbiased_wigner(d, s)
+                                for d in (2, 3, 4) for s in (1, 2)],
     "tensor": lambda: [tensorhedron(2),
                        tensor_basis(random_mic(2, 3), wootters_wigner(3))],
     "collinear": lambda: (_outside_mic_range(random_unbiased_mic(3, 2))
                           + _outside_mic_range(random_mic(2, 7))),
 }
+
+
+# Wigner kinds whose Gram diagonal proves independence, so construction
+# takes no Gram spectrum
+CERTIFIED_KINDS = {"pw", "shifted_pw", "wootters", "unbiased_wigner"}
+
+
+def _eager_gram_condition(raw) -> float:
+    """The Gram condition from a full eigvalsh, independently of the
+    construction-time checks."""
+    gvals = np.linalg.eigvalsh(bases._gram_of(as_hermitian(raw)))
+    return np.inf if gvals[0] <= 0 else float(gvals[-1] / gvals[0])
 
 
 @pytest.mark.parametrize("kind", CLASSIFY_CASES)
@@ -108,9 +124,80 @@ def test_classify_on_demand_equals_eager_validate(kind):
         raw = np.array(basis.elements)
         fresh = MeasureBasis(raw)
         assert "_class" not in vars(fresh)  # nothing classified yet
-        # every field, failures and the float residuals included
+        certified = fresh._structure.gram_spectrum is None
+        assert certified == (kind in CERTIFIED_KINDS)
+        # every field, failures, the float residuals and gram_condition
         assert fresh.classify() == validate(raw)
         assert validate(fresh) is fresh.classify()
+        assert fresh.classify().gram_condition == _eager_gram_condition(raw)
+
+
+def _diagonal_gram_candidate(weights) -> np.ndarray:
+    """Elements sqrt(w_a) sum_b O_ab B_b over herm_onb(d) B, where O is
+    orthogonal with first column sqrt(w / d): they sum to I, have traces w,
+    and their Gram matrix is diag(w) up to roundoff."""
+    w = np.asarray(weights, dtype=float)
+    n = len(w)
+    d = int(round(np.sqrt(n)))
+    v = np.sqrt(w / d)
+    u = np.eye(n)[0] - v
+    reflect = np.eye(n) - 2 * np.outer(u, u) / (u @ u)  # first column v
+    rotate = np.linalg.qr(np.random.default_rng(5).standard_normal(
+        (n - 1, n - 1)))[0]
+    O = reflect @ np.block([[np.ones((1, 1)), np.zeros((1, n - 1))],
+                            [np.zeros((n - 1, 1)), rotate]])
+    return coords_to_op(np.sqrt(w)[:, None] * O, d)
+
+
+def _weights_with_condition(kappa: float) -> np.ndarray:
+    """d = 2 weights (summing to 2) whose ratio of largest to smallest is
+    kappa."""
+    top = 2.0 / (3.0 + 1.0 / kappa)
+    return np.array([top / kappa, top, top, top])
+
+
+@pytest.mark.parametrize("kappa", [5e12, 0.999e12])
+def test_uncertified_diagonal_gram_is_decided_by_eigvalsh(kappa):
+    # Gram diag(w) that the certificate cannot decide: condition 5e12 is
+    # near-singular, and 0.999e12 is admitted but too close to
+    # MAX_GRAM_CONDITION for the certificate's rounding margin
+    raw = _diagonal_gram_candidate(_weights_with_condition(kappa))
+    G = bases._gram_of(as_hermitian(raw))
+    max_offdiag = np.max(np.abs(G - np.diag(np.diag(G))))
+    assert max_offdiag <= bases.VALIDATION_TOL
+    assert not bases._certified_independent(G, max_offdiag)
+    report = validate(raw)
+    assert report.gram_condition == pytest.approx(kappa, rel=1e-6)
+    if kappa > bases.MAX_GRAM_CONDITION:
+        # raises with the failures of the eager eigvalsh path
+        assert set(report.failures) == {"linear_independence"}
+        with pytest.raises(BasisValidationError) as info:
+            MeasureBasis(raw)
+        assert info.value.failures == report.failures
+        assert str(info.value) == report.summary()
+    else:
+        basis = MeasureBasis(raw)
+        assert basis._structure.gram_spectrum is not None
+        assert basis.classify() == report
+        assert report.is_wigner and not report.failures
+
+
+@pytest.mark.parametrize("offdiag", [0.0, 1e-17, 1e-13, 1e-10, 1e-9])
+def test_certificate_never_admits_what_eigvalsh_rejects(offdiag):
+    rng = np.random.default_rng(17)
+    n = 16
+    for kappa in np.geomspace(1e6, 1e13, 57):
+        diag = np.geomspace(1.0, 1.0 / kappa, n)
+        noise = rng.uniform(-offdiag, offdiag, (n, n))
+        G = np.diag(diag) + (noise + noise.T) / 2 * (1 - np.eye(n))
+        max_offdiag = float(np.max(np.abs(G - np.diag(np.diag(G)))))
+        if bases._certified_independent(G, max_offdiag):
+            gvals = np.linalg.eigvalsh(G)
+            assert gvals[0] > 0
+            assert gvals[-1] / gvals[0] <= bases.MAX_GRAM_CONDITION
+    # and a well-conditioned diagonal is certified
+    assert bases._certified_independent(np.diag(np.geomspace(1, 1e-3, n)),
+                                        0.0)
 
 
 def test_mic_and_wigner_guard_runs_at_construction(monkeypatch):

@@ -13,6 +13,7 @@ from quasibasis.constructions import (
 )
 from quasibasis.serialize import read_basis, write_basis, write_fiducial, write_state
 from quasibasis.bases import gram
+from quasibasis.wigner import principal_wigner
 
 
 def run(capsys, *argv):
@@ -119,8 +120,15 @@ def test_pw_matches_closed_form(tmp_path, capsys):
     out = tmp_path / "pw.json"
     code, doc = run_json(capsys, "pw", "--in", str(sic), "--out", str(out))
     assert code == 0
-    assert doc["diagnostics"][0]["name"] == "cross_error"
-    assert doc["diagnostics"][0]["value"] <= 1e-8
+    # cross_error first, then the output check's residuals
+    res = principal_wigner(read_basis(sic))
+    assert doc["diagnostics"] == [
+        {"name": "cross_error", "value": res.cross_error},
+        {"name": "orthogonality_residual",
+         "value": res.orthogonality_residual},
+        {"name": "bias_deviation", "value": res.bias_deviation},
+    ]
+    assert res.cross_error <= 1e-8
     s = np.sqrt(3)
     expected = (s / 2) * 2 * builtin_sic(2).elements + (1 - s) / 4 * np.eye(2)
     np.testing.assert_allclose(read_basis(out).elements, expected, atol=1e-12)

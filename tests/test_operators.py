@@ -42,6 +42,40 @@ def test_as_hermitian_rejects_large_asymmetry():
         as_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (4, 2, 2), (9, 3, 3),
+                                   (144, 12, 12)])
+def test_as_hermitian_equals_half_sum_with_adjoint(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        A = Z + np.swapaxes(Z, -1, -2).conj() + 1e-12 * noise
+        A.real[..., 0, 1] = A.real[..., 1, 0] = -0.0  # signed zeros
+        for given in (A, np.asfortranarray(A)):  # strided input too
+            out = as_hermitian(given)
+            assert np.array_equal(out, (A + np.swapaxes(A, -1, -2).conj()) / 2)
+            assert out.flags.c_contiguous
+            assert out.dtype == complex
+
+
+def test_as_hermitian_rejection_messages():
+    with pytest.raises(NonHermitianError) as info:
+        as_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert str(info.value) == "asymmetry 7.071e-01 exceeds 1.0e-09 * norm " \
+        "1.000e+00"
+    stack = np.stack([np.eye(3, dtype=complex)] * 3)
+    stack[2] = np.diag([2.0, 0.0, 0.0]) + np.diag([1.0, 0.0], 1)
+    with pytest.raises(NonHermitianError) as info:
+        as_hermitian(stack)
+    assert str(info.value) == "asymmetry 7.071e-01 exceeds 1.0e-09 * norm " \
+        "2.236e+00 (element 2)"
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(ValueError) as info:
+        as_hermitian(stack)
+    assert str(info.value) == "non-finite Frobenius norm (element 2): a " \
+        "NaN or inf entry, or entries too large to square"
+
+
 def test_as_hermitian_absorbs_noise():
     A = SX + 1e-13 * np.array([[0, 1j], [0, 0]])
     out = as_hermitian(A)

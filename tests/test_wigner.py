@@ -98,6 +98,10 @@ def test_principal_wigner_properties(d, seed, maker):
     assert res.cross_error <= 1e-8
     G = gram(F)
     assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-9
+    # the output check's residuals, as kept on the result
+    assert res.orthogonality_residual \
+        == np.max(np.abs(G - np.diag(np.diag(G))))
+    assert res.bias_deviation == np.max(np.abs(F.weights - L.weights))
     assert np.max(np.abs(F.elements.sum(axis=0) - np.eye(d))) <= 1e-9
     assert np.max(np.abs(F.weights - L.weights)) <= 1e-10
     np.testing.assert_allclose(np.diag(G), F.weights, atol=1e-9)
@@ -149,11 +153,12 @@ def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
     calls.clear()
     res = principal_wigner(L)
     # one SVD (polar route) and one eigh (sqrt(Phi) route), plus the single
-    # construction-time check of the output basis, which needs no element
-    # eigen-analysis for its MIC-and-Wigner guard
+    # construction-time check of the output basis, which factorizes
+    # nothing: its Gram diagonal certifies independence, and its trace
+    # bound settles the MIC-and-Wigner guard
     assert sorted(name for name, in_check, _ in calls if not in_check) \
         == ["eigh", "svd"]
-    assert [c for c in calls if c[1]] == [("eigvalsh", True, 2)]
+    assert [c for c in calls if c[1]] == []
     assert checks == [2]
     # a second call returns the stored, read-only result and redoes nothing
     calls.clear()
@@ -166,11 +171,12 @@ def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
     born_matrix(L)
     sqrt_born(L)
     assert calls == []
-    # the element spectra wait for the first classify(), which caches them
+    # the element spectra and the Gram spectrum wait for the first
+    # classify(), which caches them
     cls = res.basis.classify()
-    assert calls == [("eigvalsh", False, 3)]
+    assert sorted(calls) == [("eigvalsh", False, 2), ("eigvalsh", False, 3)]
     assert res.basis.classify() is cls
-    assert calls == [("eigvalsh", False, 3)] and checks == [2]
+    assert len(calls) == 2 and checks == [2]
 
 
 def test_shifted_is_involution():
