@@ -96,11 +96,8 @@ def _cmd_construct(args) -> int:
     elif kind == "wootters":
         if not args.d:
             raise InputError("construct wootters needs --d")
-        factors = constructions.prime_factors(args.d)
-        if len(factors) == 1:
-            basis = constructions.wootters_wigner(args.d)
-        else:
-            basis = constructions.composite_wootters(factors)
+        basis = constructions.composite_wootters(
+            constructions.prime_factors(args.d))
     elif kind == "tensorhedron":
         if not args.n:
             raise InputError("construct tensorhedron needs --n")
@@ -436,6 +433,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 <= tol < math.inf:
+            raise InputError(f"--tol must be finite and >= 0, got {tol!r}")
         return args.func(args)
     except (InputError, ValueError, OSError, KeyError) as exc:
         payload = {"message": str(exc)}

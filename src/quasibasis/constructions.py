@@ -105,7 +105,7 @@ def sic_from_fiducial(fiducial, tol: float = SIC_TOL) -> MeasureBasis:
     # Gram check before basis validation: degenerate orbits (which are not
     # even linearly independent) should report as non-SIC, with the deviation.
     dev = sic_gram_deviation(elements)
-    if dev > tol:
+    if not dev <= tol:
         raise SicOrbitError("orbit is not a SIC", dev)
     return MeasureBasis(elements, label=f"WH-orbit SIC d={d}")
 

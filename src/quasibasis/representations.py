@@ -139,7 +139,7 @@ class QuasiDistribution:
         self.values = np.asarray(self.values, dtype=float)
         total = float(self.values.sum())
         resid = abs(total - 1.0)
-        if resid > QUASI_SUM_TOL:
+        if not resid <= QUASI_SUM_TOL:
             raise ValueError(
                 f"quasidistribution sums to {total:.12g}, {resid:.3e} away "
                 "from 1"

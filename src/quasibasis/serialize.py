@@ -35,29 +35,28 @@ def _fmt_float(x: float) -> str:
     return text if any(c in text for c in ".e") else text + ".0"
 
 
-def dumps_json(obj, indent: int = 0) -> str:
+def dumps_json(obj) -> str:
     """Serialize nested dicts/lists/scalars, floats at 17 significant
     digits. Key order is preserved."""
-    pad = " " * indent
     if isinstance(obj, dict):
         items = ", ".join(
             f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in obj.items()
         )
-        return pad + "{" + items + "}"
+        return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             obj = obj.tolist()
-        return pad + "[" + ", ".join(dumps_json(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)) or obj is None:
-        return pad + json.dumps(bool(obj) if obj is not None else None)
+        return json.dumps(bool(obj) if obj is not None else None)
     if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return pad + _fmt_float(float(obj))
+        return _fmt_float(float(obj))
     if isinstance(obj, complex):
-        return pad + dumps_json([obj.real, obj.imag])
+        return dumps_json([obj.real, obj.imag])
     if isinstance(obj, str):
-        return pad + json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -39,7 +39,7 @@ from .bases import (
     _positive_weights,
 )
 from .constructions import collinear
-from .operators import SingularOperatorError, _mix, coords_to_op
+from .operators import SingularOperatorError, _flat, _mix, coords_to_op
 
 CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
@@ -293,10 +293,17 @@ def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
 
 def _greedy_match(X: np.ndarray, Y: np.ndarray,
                   allowed: np.ndarray | None = None) -> np.ndarray | None:
-    """Pair each operator X[i], in order, with the nearest (max-abs entry
-    distance) unused Y[j] among the allowed pairs; None if some X[i] has no
-    allowed partner left."""
-    dist = np.stack([np.max(np.abs(x - Y), axis=(1, 2)) for x in X])
+    """Pair each operator X[i], in order, with the nearest unused Y[j] among
+    the allowed pairs; None if some X[i] has no allowed partner left.
+
+    Nearest is by squared Frobenius distance ||X_i||^2 + ||Y_j||^2 -
+    2 Re tr(X_i^dag Y_j), all n^2 of them from one real matrix product of
+    the _flat views. Callers verify the pairing they get by its max-abs
+    deviation.
+    """
+    x, y = _flat(X), _flat(Y)
+    dist = (np.einsum("ij,ij->i", x, x)[:, None]
+            + np.einsum("ij,ij->i", y, y) - 2.0 * (x @ y.T))
     if allowed is not None:
         dist[~allowed] = np.inf
     perm = np.empty(len(X), dtype=int)

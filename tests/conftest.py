@@ -40,6 +40,42 @@ def random_povm(d, n, rng):
     return np.einsum("ij,njk,kl->nil", root_inv, ops, root_inv)
 
 
+def perturbed(basis, eps, rng):
+    """The basis plus eps times random Hermitian noise that is traceless and
+    sums to zero, so the sum and the weights stay as they were."""
+    from quasibasis import MeasureBasis
+
+    n, d = len(basis), basis.dim
+    H = np.stack([random_hermitian(d, rng) for _ in range(n)])
+    H -= np.trace(H, axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
+    H -= H.mean(axis=0)
+    return MeasureBasis(basis.elements + eps * H, label=basis.label)
+
+
+def wh_covariant_reference(basis, tol):
+    """Loop reference for analysis.wh_covariant: conjugate the elements by
+    each of the d^2 displacements D(k, l) in turn, pair each image, in
+    order, with the nearest unused element by max-abs entry distance, and
+    require every pairing to hold within tol."""
+    from quasibasis.constructions import wh_displacement
+
+    E, d = basis.elements, basis.dim
+    for k in range(d):
+        for l in range(d):
+            D = wh_displacement(d, k, l)
+            conj = np.einsum("ij,njk,lk->nil", D, E, D.conj())
+            used, perm = np.zeros(len(E), dtype=bool), []
+            for x in conj:
+                devs = np.max(np.abs(x - E), axis=(1, 2))
+                devs[used] = np.inf
+                j = int(np.argmin(devs))
+                used[j] = True
+                perm.append(j)
+            if np.max(np.abs(conj - E[perm])) > tol:
+                return False
+    return True
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

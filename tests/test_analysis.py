@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasibasis.analysis import (
+    MATCH_TOL,
     _triple_tensor,
     affine_area,
     ceiling_negativity,
@@ -16,9 +17,11 @@ from quasibasis.analysis import (
     wh_covariant,
     wootters_triple_oracle,
 )
+from quasibasis.bases import MeasureBasis
 from quasibasis.constructions import (
     builtin_sic,
     collinear,
+    composite_wootters,
     mic_t_range,
     random_mic,
     random_unbiased_mic,
@@ -27,6 +30,8 @@ from quasibasis.constructions import (
     wootters_wigner,
 )
 from quasibasis.wigner import principal_wigner, shifted
+
+from conftest import perturbed, wh_covariant_reference
 
 
 def test_distance_to_self_is_zero():
@@ -297,3 +302,47 @@ def test_rank_profile_threshold_stability():
 
 def test_wh_covariance_of_wootters():
     assert wh_covariant(wootters_wigner(5))
+
+
+def _covariance_cases():
+    cases = {f"sic{d}": lambda d=d: builtin_sic(d) for d in (2, 3)}
+    cases.update({f"pw-sic{d}": lambda d=d: principal_wigner(builtin_sic(d)).basis
+                  for d in (2, 3)})
+    cases.update({f"wootters{d}": lambda d=d: wootters_wigner(d)
+                  for d in (2, 3, 5, 7)})
+    cases["wootters6"] = lambda: composite_wootters([2, 3])
+    cases.update({f"tensorhedron{n}": lambda n=n: tensorhedron(n)
+                  for n in (1, 2)})
+    cases.update({f"hesse-collinear{t:g}": lambda t=t: collinear(builtin_sic(3), t)
+                  for t in (-0.5, 0.5, 2.0)})
+    # Conjugation by a unitary that commutes with only one generator keeps
+    # covariance under that generator alone.
+    phases = np.diag(np.exp(2j * np.pi * np.random.default_rng(3).random(5)))
+    fourier = np.fft.fft(np.eye(5)) / np.sqrt(5)
+    for name, U in (("shift-only", fourier @ phases @ fourier.conj().T),
+                    ("clock-only", phases)):
+        cases[f"wootters5-{name}"] = lambda U=U: MeasureBasis(
+            U @ wootters_wigner(5).elements @ U.conj().T)
+    makers = {"mic": random_mic, "unbiased-mic": random_unbiased_mic,
+              "unbiased-wigner": random_unbiased_wigner}
+    cases.update({f"{kind}{d}-seed{seed}": lambda f=f, d=d, s=seed: f(d, s)
+                  for kind, f in makers.items()
+                  for d in (2, 3, 4, 5) for seed in (1, 2)})
+    return cases
+
+
+_COVARIANCE_CASES = _covariance_cases()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3])
+@pytest.mark.parametrize("name", sorted(_COVARIANCE_CASES))
+def test_wh_covariant_matches_the_displacement_loop(name, eps, rng):
+    basis = _COVARIANCE_CASES[name]()
+    if eps:
+        basis = perturbed(basis, eps, rng)
+    assert wh_covariant(basis) == wh_covariant_reference(basis, MATCH_TOL)
+
+
+def test_wh_covariant_matches_the_displacement_loop_at_d11():
+    basis = wootters_wigner(11)
+    assert wh_covariant(basis) and wh_covariant_reference(basis, MATCH_TOL)

@@ -125,7 +125,7 @@ SIGNATURES = {
     ],
     "analysis.wh_covariant": ["basis"],
     "analysis.diagnostics": ["basis"],
-    "serialize.dumps_json": ["obj", "indent"],
+    "serialize.dumps_json": ["obj"],
     "serialize.basis_to_dict": ["basis"],
     "serialize.write_basis": ["basis", "path"],
     "serialize.read_basis": ["path"],
@@ -182,3 +182,36 @@ def test_superoperator_surface():
 def test_triple_products_signature():
     params = inspect.signature(quasibasis.triple_products).parameters
     assert list(params) == ["basis"]
+
+
+# Every public numeric module constant: the tolerances, the condition and
+# byte limits, and the CLI's exit codes. A loosened tolerance shows up here.
+CONSTANTS = {
+    "HERMITICITY_RTOL": 1e-9,
+    "VALIDATION_TOL": 1e-9,
+    "MAX_GRAM_CONDITION": 1e12,
+    "RANK_EIG_RTOL": 1e-8,
+    "WEIGHT_TOL": 1e-12,
+    "SIC_TOL": 1e-8,
+    "CROSS_CHECK_TOL": 1e-8,
+    "EQUIV_TOL": 1e-8,
+    "STATE_TOL": 1e-9,
+    "QUASI_SUM_TOL": 1e-10,
+    "SATURATION_TOL": 1e-9,
+    "MATCH_TOL": 1e-8,
+    "EQUIANGULAR_TOL": 1e-8,
+    "TRIPLE_BYTES_BUDGET": 2**28,
+    "USAGE_ERROR": 2,
+    "VERIFY_ERROR": 1,
+}
+
+
+def test_tolerances_pinned():
+    found = {}
+    for mod in MODULES:
+        module = importlib.import_module(f"quasibasis.{mod}")
+        for name, value in vars(module).items():
+            if (name.isupper() and not name.startswith("_")
+                    and isinstance(value, (int, float))):
+                assert found.setdefault(name, value) == value, name
+    assert found == CONSTANTS

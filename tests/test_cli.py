@@ -88,6 +88,31 @@ def test_construct_from_fiducial(tmp_path, capsys):
     assert code == 0 and doc["payload"]["dimension"] == 3
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_construct_sic_rejects_bad_tol(tmp_path, capsys, tol):
+    fid = tmp_path / "fid.json"
+    write_fiducial(np.array([1.0, 1.0, 1.0j]) / np.sqrt(3), fid)
+    out = tmp_path / "orbit.json"
+    code, doc = run_json(
+        capsys, "construct", "sic", "--fiducial", str(fid), "--out", str(out),
+        "--tol", tol,
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--tol" in doc["payload"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tol(tmp_path, capsys, tol):
+    mic = tmp_path / "sic2.json"
+    write_basis(builtin_sic(2), mic)
+    code, doc = run_json(
+        capsys, "verify", "theorem1", "--in", str(mic), "--tol", tol
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--tol" in doc["payload"]["message"]
+
+
 def test_construct_random_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

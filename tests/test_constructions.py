@@ -68,6 +68,11 @@ def test_sic_from_fiducial_rejects_basis_state():
     assert err.value.max_deviation > 1e-3
 
 
+def test_sic_from_fiducial_rejects_with_nan_tol():
+    with pytest.raises(SicOrbitError):
+        sic_from_fiducial(np.array([1.0, 1.0, 1.0j]) / np.sqrt(3), tol=np.nan)
+
+
 def test_sic_from_fiducial_rejects_unnormalized():
     with pytest.raises(ValueError, match="unit norm"):
         sic_from_fiducial(np.array([1.0, 1.0]))

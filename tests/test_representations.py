@@ -188,6 +188,7 @@ def test_quasidistribution_negativity():
     ([0.5, 0.5 + 3e-9], "sums to 1.000000003, 3.000e-09 away from 1"),
     ([0.5, 0.2], "sums to 0.7, 3.000e-01 away from 1"),
     ([2.0, -0.5, 1.5], "sums to 3, 2.000e+00 away from 1"),
+    ([np.nan, 1.0], "sums to nan, nan away from 1"),
 ])
 def test_quasidistribution_sum_error_names_the_sum(values, text):
     with pytest.raises(ValueError) as info:

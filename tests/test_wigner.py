@@ -284,7 +284,7 @@ def test_greedy_match_follows_the_loop_reference(rng):
         used, perm = np.zeros(len(Y), dtype=bool), []
         for i, x in enumerate(X):
             devs = [np.inf if used[j] or not allowed[i, j]
-                    else np.max(np.abs(x - Y[j])) for j in range(len(Y))]
+                    else np.sum(np.abs(x - Y[j]) ** 2) for j in range(len(Y))]
             j = int(np.argmin(devs))
             if not np.isfinite(devs[j]):
                 return None
