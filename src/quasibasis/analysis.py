@@ -142,14 +142,22 @@ def ceiling_negativity_sampled(wigner_basis: MeasureBasis,
         (n_samples, d)
     )
     kets /= np.linalg.norm(kets, axis=1)[:, None]
-    # w[s, i] = <psi_s| F_i |psi_s>
-    w = np.einsum("sa,iab,sb->si", kets.conj(), F, kets).real
+    # w[s, i] = <psi_s| F_i |psi_s> = tr(F_i |psi_s><psi_s|), one real
+    # matrix product per block of samples on the _flat views
+    F_flat = _flat(F)
+    w = np.empty((n_samples, len(F)))
+    for s in range(0, n_samples, 256):
+        psi = kets[s:s + 256]
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        w[s:s + 256] = _flat(rho) @ F_flat.T
     v = kets[np.argmin(w, axis=0)]  # (n, d): the best start of each element
     c = np.linalg.norm(F, axis=(1, 2))[:, None]
+    Fv = (F @ v[:, :, None])[:, :, 0]
     for _ in range(100):
-        v = c * v - (F @ v[:, :, None])[:, :, 0]
+        v = c * v - Fv
         v /= np.linalg.norm(v, axis=1)[:, None]
-    rayleigh = np.einsum("ia,iab,ib->i", v.conj(), F, v).real
+        Fv = (F @ v[:, :, None])[:, :, 0]
+    rayleigh = np.einsum("ia,ia->i", v.conj(), Fv).real
     # A converged quotient sits at the eigenvalue to within rounding, on
     # either side; raising it by a bound on that rounding keeps the
     # estimate at or below the spectral value in floating point too.

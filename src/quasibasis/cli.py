@@ -436,6 +436,9 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not 0 <= tol < math.inf:
             raise InputError(f"--tol must be finite and >= 0, got {tol!r}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise InputError(f"--seed must be >= 0, got {seed}")
         return args.func(args)
     except (InputError, ValueError, OSError, KeyError) as exc:
         payload = {"message": str(exc)}

@@ -113,6 +113,27 @@ def test_verify_rejects_bad_tol(tmp_path, capsys, tol):
     assert "--tol" in doc["payload"]["message"]
 
 
+def test_construct_random_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, doc = run_json(
+        capsys, "construct", "random", "--d", "3", "--seed", "-1",
+        "--out", str(out),
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--seed" in doc["payload"]["message"]
+    assert not out.exists()
+
+
+def test_verify_negativity_rejects_negative_seed(tmp_path, capsys):
+    w3 = tmp_path / "w3.json"
+    write_basis(wootters_wigner(3), w3)
+    code, doc = run_json(
+        capsys, "verify", "negativity", "--in", str(w3), "--seed", "-1"
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--seed" in doc["payload"]["message"]
+
+
 def test_construct_random_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

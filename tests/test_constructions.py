@@ -22,7 +22,8 @@ from quasibasis.constructions import (
     wh_index_pair,
     wootters_wigner,
 )
-from quasibasis.analysis import wh_covariant
+from quasibasis.analysis import distance, distance_bounds, wh_covariant
+from quasibasis.wigner import principal_wigner, shifted
 from quasibasis.operators import SingularOperatorError
 
 from conftest import SX, SZ, random_unitary
@@ -74,8 +75,10 @@ def test_sic_from_fiducial_rejects_with_nan_tol():
 
 
 def test_sic_from_fiducial_rejects_unnormalized():
-    with pytest.raises(ValueError, match="unit norm"):
-        sic_from_fiducial(np.array([1.0, 1.0]))
+    # a NaN norm fails the unit-norm check, not the later Gram check
+    for fid in ([1.0, 1.0], [1.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="unit norm"):
+            sic_from_fiducial(np.array(fid))
 
 
 def test_builtin_sic_qubit():
@@ -230,16 +233,19 @@ def test_t_range_interior_and_exterior(seed):
 
 
 def test_tensor_basis_bias_and_gram():
-    L, M = builtin_sic(2), wootters_wigner(3)
-    T = tensor_basis(L, M)
-    np.testing.assert_allclose(
-        T.weights, np.outer(L.weights, M.weights).ravel(), atol=1e-13
-    )
-    np.testing.assert_allclose(
-        gram(T), np.kron(gram(L), gram(M)), atol=1e-13
-    )
-    kron_loop = [np.kron(A, B) for A in L.elements for B in M.elements]
-    np.testing.assert_array_equal(T.elements, kron_loop)
+    # the random pair has complex entries on both sides, so every product
+    # must round as np.kron's does
+    for L, M in ((builtin_sic(2), wootters_wigner(3)),
+                 (random_mic(4, 1), random_mic(3, 2))):
+        T = tensor_basis(L, M)
+        np.testing.assert_allclose(
+            T.weights, np.outer(L.weights, M.weights).ravel(), atol=1e-13
+        )
+        np.testing.assert_allclose(
+            gram(T), np.kron(gram(L), gram(M)), atol=1e-13
+        )
+        kron_loop = [np.kron(A, B) for A in L.elements for B in M.elements]
+        np.testing.assert_array_equal(T.elements, kron_loop)
 
 
 def test_tensor_of_mics_is_mic():
@@ -305,15 +311,35 @@ def test_random_unbiased_wigner():
     np.testing.assert_allclose(F.elements.sum(axis=0), np.eye(3), atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("d", [4, 6, 12, 16])
 def test_random_unbiased_wigner_composite_dims(d):
     cls = random_unbiased_wigner(d, 5).classify()
     assert cls.is_wigner and cls.is_unbiased
 
 
 def test_random_builders_reject_bad_dim():
-    with pytest.raises(ValueError):
-        random_mic(9, 0)
+    for maker in (random_mic, random_unbiased_mic, random_unbiased_wigner):
+        for d in (1, 33):
+            with pytest.raises(ValueError, match="2 <= d <= 32"):
+                maker(d, 0)
+
+
+@pytest.mark.parametrize("d", [12, 16])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("maker", [random_mic, random_unbiased_mic])
+def test_random_mics_at_desk_scale(maker, seed, d):
+    L = maker(d, seed)
+    assert L.classify().is_mic
+    res = principal_wigner(L)
+    assert res.cross_error <= 1e-8
+    assert res.basis.classify().is_wigner
+    if maker is random_unbiased_mic:
+        # the Theorem-1 sandwich, with the CLI's default tolerance
+        report = distance_bounds(L)
+        d_pw = distance(L, res.basis)
+        d_spw = distance(L, shifted(res.basis))
+        assert abs(d_pw - report.lower_bound) <= 1e-9
+        assert abs(d_spw - report.upper_bound) <= 1e-9
 
 
 def test_gram_unitarily_invariant(rng):

@@ -1,8 +1,15 @@
-"""The real-view Hilbert-Schmidt kernels against the einsum formulas they
-replace, and a guard that the hot path never plans an einsum."""
+"""The real-view Hilbert-Schmidt kernels and the builders' operator-stack
+contractions against the einsum formulas they replace, a guard that the hot
+path never plans an einsum, and a guard that no module contracts more than
+two arrays in one einsum."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import quasibasis
 
 from quasibasis import (
     MeasureBasis,
@@ -18,7 +25,14 @@ from quasibasis import (
     tensor_basis,
     wigner_equivalent,
 )
+from quasibasis.analysis import ceiling_negativity_sampled
 from quasibasis.bases import _gram_of
+from quasibasis.constructions import (
+    _whiten_to_identity,
+    _wh_orbit,
+    random_unbiased_wigner,
+    wh_displacement,
+)
 from quasibasis.operators import _mix, coords_to_op, herm_onb, op_to_coords
 
 DIMS = (2, 3, 4, 6, 8, 12)
@@ -141,3 +155,95 @@ def test_hot_path_plans_no_einsum(monkeypatch):
                      .elements)
     principal_wigner(MeasureBasis(raw12))
     assert calls[0] == 0
+
+
+# The builders' operator-stack contractions against the three-operand
+# einsums they replace, at the dimensions the builders took before d = 32.
+STACK_DIMS = (2, 3, 5, 8)
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_whiten_to_identity_matches_einsum(d):
+    rng = np.random.default_rng(400 + d)
+    W = random_stack(rng, d * d, d, hermitian=False)
+    ops = W @ np.swapaxes(W, -1, -2).conj()
+    total = ops.sum(axis=0)
+    vals, vecs = np.linalg.eigh((total + total.conj().T) / 2)
+    root_inv = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    root_inv = (root_inv + root_inv.conj().T) / 2
+    ref = np.einsum("ij,njk,kl->nil", root_inv, ops, root_inv)
+    scale = (np.linalg.norm(root_inv) ** 2
+             * np.max(np.linalg.norm(ops, axis=(-2, -1))))
+    close(_whiten_to_identity(ops), ref, scale)
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_wh_orbit_matches_einsum(d):
+    rng = np.random.default_rng(500 + d)
+    op = random_stack(rng, 1, d, hermitian=False)[0]
+    D = np.stack([wh_displacement(d, k, l)
+                  for k in range(d) for l in range(d)])
+    ref = np.einsum("nij,jk,nlk->nil", D, op, D.conj()) / d
+    close(_wh_orbit(op), ref, np.linalg.norm(op))
+
+
+def ceiling_negativity_sampled_einsum(F, n_samples, seed):
+    """ceiling_negativity_sampled with its contractions as the einsums
+    "sa,iab,sb->si" and "ia,iab,ib->i"."""
+    F = F.elements
+    d = F.shape[-1]
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal(
+        (n_samples, d)
+    )
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    w = np.einsum("sa,iab,sb->si", kets.conj(), F, kets).real
+    v = kets[np.argmin(w, axis=0)]
+    c = np.linalg.norm(F, axis=(1, 2))[:, None]
+    for _ in range(100):
+        v = c * v - (F @ v[:, :, None])[:, :, 0]
+        v /= np.linalg.norm(v, axis=1)[:, None]
+    rayleigh = np.einsum("ia,iab,ib->i", v.conj(), F, v).real
+    rayleigh += d * d * np.finfo(float).eps * c[:, 0]
+    return max(0.0, float(-rayleigh.min()))
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_ceiling_negativity_sampled_matches_einsum(d):
+    # 1000 samples: four blocks of the score matrix, the last one partial
+    F = random_unbiased_wigner(d, d)
+    scale = np.max(np.linalg.norm(F.elements, axis=(-2, -1)))
+    for seed in (0, 1):
+        got = ceiling_negativity_sampled(F, n_samples=1000, seed=seed)
+        ref = ceiling_negativity_sampled_einsum(F, 1000, seed)
+        assert abs(got - ref) <= RTOL * scale
+
+
+def wide_einsums(source, filename):
+    """(file, line) of every np.einsum call in source that contracts more
+    than two array operands; a leading subscripts string is not one."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "einsum"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"):
+            continue
+        operands = node.args
+        if operands and isinstance(operands[0], ast.Constant):
+            operands = operands[1:]
+        if len(operands) > 2:
+            found.append((filename, node.lineno))
+    return found
+
+
+def test_no_module_contracts_three_operands_in_one_einsum():
+    planted = ('y = np.einsum("ij,jk,kl->il", a, b, c)\n'
+               'z = np.einsum("i,i", a, b)\n')
+    assert wide_einsums(planted, "planted.py") == [("planted.py", 1)]
+    modules = sorted(Path(quasibasis.__file__).parent.glob("*.py"))
+    assert modules
+    found = [hit for path in modules
+             for hit in wide_einsums(path.read_text(), path.name)]
+    assert found == []
