@@ -96,6 +96,7 @@ def _cmd_construct(args) -> int:
     elif kind == "wootters":
         if not args.d:
             raise InputError("construct wootters needs --d")
+        constructions._check_dim(args.d)  # before factoring a huge --d
         basis = constructions.composite_wootters(
             constructions.prime_factors(args.d))
     elif kind == "tensorhedron":
@@ -278,13 +279,15 @@ def _verify_triple(args) -> int:
 
 
 def _write_gamma_csv(gamma: np.ndarray, path) -> None:
+    """Rows j,k,l,re,im in the csv module's dialect, one % pass per j-slab."""
+    rows = np.empty(gamma.shape[1:] + (5,))  # indices ride as exact floats
+    rows[..., 1], rows[..., 2] = np.indices(gamma.shape[1:])
+    fmt = "%d,%d,%d,%.17g,%.17g\r\n" * gamma[0].size
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "l", "re", "im"])
-        for (j, k, l), z in np.ndenumerate(gamma):
-            writer.writerow([
-                j, k, l, format(z.real, ".17g"), format(z.imag, ".17g"),
-            ])
+        fh.write("j,k,l,re,im\r\n")
+        for j, slab in enumerate(gamma):
+            rows[..., 0], rows[..., 3], rows[..., 4] = j, slab.real, slab.imag
+            fh.write(fmt % tuple(rows.ravel().tolist()))
 
 
 def _verify_negativity(args) -> int:
@@ -440,8 +443,8 @@ def main(argv=None) -> int:
         if seed is not None and seed < 0:
             raise InputError(f"--seed must be >= 0, got {seed}")
         return args.func(args)
-    except (InputError, ValueError, OSError, KeyError) as exc:
-        payload = {"message": str(exc)}
+    except (InputError, ValueError, OSError, KeyError, MemoryError) as exc:
+        payload = {"message": str(exc) or type(exc).__name__}
         if isinstance(exc, BasisValidationError):
             # JSON has no inf: a singular Gram matrix's condition is null
             payload["failures"] = {

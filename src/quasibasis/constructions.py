@@ -2,9 +2,10 @@
 Wootters Wigner bases and their composite tensor products, collinear
 families, tensorhedra, and seeded random bases for property testing.
 
-The random builders take 2 <= d <= 32. Their operator-stack contractions
-are batched matrix products (D op D^dag, R ops R), O(n d^3) for n
-elements.
+Builders given a dimension, a fiducial or a tensorhedron's n admit only
+2 <= d <= 32 (1 <= n <= 5), checked before anything is allocated. The
+operator-stack contractions are batched matrix products (D op D^dag,
+R ops R), O(n d^3) for n elements.
 
 Randomness: every seeded builder draws from a single numpy PCG64 stream
 (np.random.default_rng(seed)) in documented order, so runs are reproducible
@@ -102,6 +103,7 @@ def sic_from_fiducial(fiducial, tol: float = SIC_TOL) -> MeasureBasis:
     """
     f = np.asarray(fiducial, dtype=complex).reshape(-1)
     d = f.shape[0]
+    _check_dim(d)
     norm = np.linalg.norm(f)
     if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"fiducial is not unit norm (|f| = {norm:.15g})")
@@ -171,6 +173,7 @@ def wootters_wigner(d: int) -> MeasureBasis:
     (I + sx + sy + sz)/2 for d=2, which gives
     F(q,p) = (1/4)(I + (-1)^q sz + (-1)^p sx + (-1)^{q+p} sy).
     """
+    _check_dim(d)
     if d == 2:
         A0 = (np.eye(2) + _PAULI["x"] + _PAULI["y"] + _PAULI["z"]) / 2
         return MeasureBasis(_wh_orbit(A0), label="Wootters qubit")
@@ -201,6 +204,7 @@ def composite_wootters(primes) -> MeasureBasis:
     primes = list(primes)
     if not primes:
         raise ValueError("need at least one prime factor")
+    _check_dim(math.prod(primes))
     for p in primes:
         if p != 2 and not (_is_prime(p) and p % 2 == 1):
             raise ValueError(f"factor {p} is not prime")
@@ -213,8 +217,10 @@ def composite_wootters(primes) -> MeasureBasis:
 def tensorhedron(n: int) -> MeasureBasis:
     """n-fold tensor power of the built-in qubit SIC; 4^n elements in
     dimension 2^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 5:
+        raise ValueError(
+            f"tensorhedra support 1 <= n <= 5 (2 <= d <= 32), got n={n}"
+        )
     basis = builtin_sic(2)
     for _ in range(n - 1):
         basis = tensor_basis(basis, builtin_sic(2))
@@ -288,7 +294,7 @@ def _whiten_to_identity(ops: np.ndarray) -> np.ndarray:
 
 def _check_dim(d: int):
     if not 2 <= d <= 32:
-        raise ValueError(f"random builders support 2 <= d <= 32, got d={d}")
+        raise ValueError(f"builders support 2 <= d <= 32, got d={d}")
 
 
 def random_mic(d: int, seed: int) -> MeasureBasis:

@@ -23,7 +23,7 @@ from .bases import (
     dual_basis,
     rescaled_frame_operator,
 )
-from .operators import _flat, as_hermitian, coords_to_op, op_to_coords
+from .operators import _flat, _mix, as_hermitian, coords_to_op, op_to_coords
 from .wigner import sqrt_born
 
 STATE_TOL = 1e-9
@@ -117,7 +117,7 @@ def probs_to_state(p, basis: MeasureBasis) -> ReconstructedState:
     n = basis.dim * basis.dim
     if p.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {p.shape}")
-    op = np.einsum("n,nij->ij", p, dual_basis(basis))
+    op = _mix(p, dual_basis(basis))
     op = (op + op.conj().T) / 2
     tr = float(np.trace(op).real)
     min_eig = float(np.linalg.eigvalsh(op)[0])
@@ -162,8 +162,8 @@ def conditional_matrix(effects, basis: MeasureBasis) -> np.ndarray:
     if effects.shape[1] != basis.dim:
         raise ValueError("dimension mismatch between effects and basis")
     w = _positive_weights(basis, "the conditional matrix")
-    states = basis.elements / w[:, None, None]
-    return np.einsum("jab,iba->ji", effects, states).real
+    # Re tr(D_j L_i) = _flat(D_j) . _flat(L_i), since L_i is Hermitian
+    return (_flat(effects) @ _flat(basis.elements).T) / w
 
 
 def two_step_q(effects, basis: MeasureBasis, rho) -> tuple[np.ndarray, np.ndarray]:

@@ -32,12 +32,14 @@ def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
     text = format(float(x), ".17g")
-    return text if any(c in text for c in ".e") else text + ".0"
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def dumps_json(obj) -> str:
     """Serialize nested dicts/lists/scalars, floats at 17 significant
     digits. Key order is preserved."""
+    if isinstance(obj, (float, np.floating)):  # nearly every value
+        return _fmt_float(obj)
     if isinstance(obj, dict):
         items = ", ".join(
             f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in obj.items()
@@ -46,13 +48,11 @@ def dumps_json(obj) -> str:
     if isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             obj = obj.tolist()
-        return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
+        return "[" + ", ".join([dumps_json(v) for v in obj]) + "]"
     if isinstance(obj, (bool, np.bool_)) or obj is None:
         return json.dumps(bool(obj) if obj is not None else None)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
     if isinstance(obj, complex):
         return dumps_json([obj.real, obj.imag])
     if isinstance(obj, str):
@@ -60,8 +60,9 @@ def dumps_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _matrix_to_pairs(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+def _pairs(z: np.ndarray) -> list:
+    """[re, im] pairs, as nested lists, of a complex array of any shape."""
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def _pairs_to_complex(rows, shape: tuple, what: str) -> np.ndarray:
@@ -85,7 +86,7 @@ def basis_to_dict(basis: MeasureBasis) -> dict:
     return {
         "dimension": basis.dim,
         "label": basis.label,
-        "elements": [_matrix_to_pairs(E) for E in basis.elements],
+        "elements": _pairs(basis.elements),
     }
 
 
@@ -165,10 +166,7 @@ def read_fiducial(path) -> np.ndarray:
 
 def write_fiducial(fiducial, path) -> None:
     f = np.asarray(fiducial, dtype=complex).reshape(-1)
-    doc = {
-        "dimension": f.shape[0],
-        "amplitudes": [[float(z.real), float(z.imag)] for z in f],
-    }
+    doc = {"dimension": f.shape[0], "amplitudes": _pairs(f)}
     Path(path).write_text(dumps_json(doc) + "\n")
 
 
@@ -182,5 +180,5 @@ def read_state(path) -> np.ndarray:
 
 def write_state(rho, path) -> None:
     rho = np.asarray(rho, dtype=complex)
-    doc = {"dimension": rho.shape[0], "matrix": _matrix_to_pairs(rho)}
+    doc = {"dimension": rho.shape[0], "matrix": _pairs(rho)}
     Path(path).write_text(dumps_json(doc) + "\n")

@@ -1,3 +1,8 @@
+import csv
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +79,93 @@ def wh_covariant_reference(basis, tol):
             if np.max(np.abs(conj - E[perm])) > tol:
                 return False
     return True
+
+
+def _fmt_float_reference(x):
+    if not math.isfinite(x):
+        raise ValueError("cannot serialize non-finite float")
+    text = format(float(x), ".17g")
+    return text if any(c in text for c in ".e") else text + ".0"
+
+
+def dumps_json_reference(obj) -> str:
+    """Per-value reference for serialize.dumps_json: recurse through
+    containers and format each scalar on its own."""
+    if isinstance(obj, dict):
+        items = ", ".join(
+            f"{json.dumps(str(k))}: {dumps_json_reference(v)}"
+            for k, v in obj.items()
+        )
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        return "[" + ", ".join(dumps_json_reference(v) for v in obj) + "]"
+    if isinstance(obj, (bool, np.bool_)) or obj is None:
+        return json.dumps(bool(obj) if obj is not None else None)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_reference(float(obj))
+    if isinstance(obj, complex):
+        return dumps_json_reference([obj.real, obj.imag])
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _matrix_to_pairs(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def write_basis_reference(basis, path) -> None:
+    """Loop reference for serialize.write_basis: one [re, im] pair built
+    per entry, one matrix at a time."""
+    doc = {
+        "dimension": basis.dim,
+        "label": basis.label,
+        "elements": [_matrix_to_pairs(E) for E in basis.elements],
+    }
+    Path(path).write_text(dumps_json_reference(doc) + "\n")
+
+
+def write_state_reference(rho, path) -> None:
+    rho = np.asarray(rho, dtype=complex)
+    doc = {"dimension": rho.shape[0], "matrix": _matrix_to_pairs(rho)}
+    Path(path).write_text(dumps_json_reference(doc) + "\n")
+
+
+def write_fiducial_reference(fiducial, path) -> None:
+    f = np.asarray(fiducial, dtype=complex).reshape(-1)
+    doc = {
+        "dimension": f.shape[0],
+        "amplitudes": [[float(z.real), float(z.imag)] for z in f],
+    }
+    Path(path).write_text(dumps_json_reference(doc) + "\n")
+
+
+def write_gamma_csv_reference(gamma, path) -> None:
+    """Loop reference for cli._write_gamma_csv: one csv.writer row per
+    entry of the triple-product tensor."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "k", "l", "re", "im"])
+        for (j, k, l), z in np.ndenumerate(gamma):
+            writer.writerow([
+                j, k, l, format(z.real, ".17g"), format(z.imag, ".17g"),
+            ])
+
+
+def use_reference_writers(monkeypatch) -> None:
+    """Route every JSON and CSV writer the CLI calls to the loop
+    references above."""
+    from quasibasis import cli, serialize
+
+    monkeypatch.setattr(serialize, "dumps_json", dumps_json_reference)
+    monkeypatch.setattr(serialize, "write_basis", write_basis_reference)
+    monkeypatch.setattr(serialize, "write_state", write_state_reference)
+    monkeypatch.setattr(serialize, "write_fiducial", write_fiducial_reference)
+    monkeypatch.setattr(cli, "_write_gamma_csv", write_gamma_csv_reference)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,54 @@ def test_construct_usage_error(tmp_path, capsys):
         capsys, "construct", "sic", "--out", str(tmp_path / "x.json")
     )
     assert code == 2 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wootters", "--d", "33"],
+    ["random", "--d", "33", "--seed", "1"],
+    ["wootters", "--d", "1000003"],
+    ["wootters", "--d", "1000000000039"],
+    ["tensorhedron", "--n", "6"],
+    ["tensorhedron", "--n", "100000"],
+    ["sic", "--fiducial", "{fid33}"],
+], ids=["wootters33", "random33", "wootters-big-prime", "wootters-huge-prime",
+        "tensorhedron6", "tensorhedron-huge", "fiducial33"])
+def test_out_of_scope_size_is_usage_error(tmp_path, argv):
+    """Each size answers at once: a fresh process killed after 30 s turns a
+    hang into a failure instead of a stalled suite."""
+    import os, subprocess, sys
+    import quasibasis
+
+    fid33 = tmp_path / "fid33.json"
+    write_fiducial(np.ones(33) / np.sqrt(33), fid33)
+    src = os.path.dirname(os.path.dirname(quasibasis.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasibasis.cli", "construct",
+         *[a.format(fid33=fid33) for a in argv],
+         "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error"
+    assert re.search(r"2 <= d <= 32|1 <= n <= 5", doc["payload"]["message"])
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    from quasibasis import constructions
+
+    def exhausted(d, seed):
+        raise MemoryError
+
+    monkeypatch.setattr(constructions, "random_mic", exhausted)
+    code, doc = run_json(
+        capsys, "construct", "random", "--d", "3", "--seed", "1",
+        "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["message"] == "MemoryError"
 
 
 def test_construct_bad_dimension(tmp_path, capsys):

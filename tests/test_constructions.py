@@ -317,6 +317,26 @@ def test_random_unbiased_wigner_composite_dims(d):
     assert cls.is_wigner and cls.is_unbiased
 
 
+@pytest.mark.parametrize("build", [
+    lambda: wootters_wigner(37),
+    lambda: wootters_wigner(1_000_003),
+    lambda: composite_wootters([2, 17]),
+    lambda: composite_wootters([1_000_000_000_039]),
+    lambda: sic_from_fiducial(np.ones(33) / np.sqrt(33)),
+    lambda: sic_from_fiducial(np.ones(1)),
+], ids=["wootters37", "wootters-big-prime", "composite34", "composite-huge",
+        "fiducial33", "fiducial1"])
+def test_builders_reject_out_of_scope_dimension(build):
+    with pytest.raises(ValueError, match="2 <= d <= 32"):
+        build()
+
+
+@pytest.mark.parametrize("n", [0, 6, 100_000])
+def test_tensorhedron_rejects_out_of_scope_n(n):
+    with pytest.raises(ValueError, match="1 <= n <= 5"):
+        tensorhedron(n)
+
+
 def test_random_builders_reject_bad_dim():
     for maker in (random_mic, random_unbiased_mic, random_unbiased_wigner):
         for d in (1, 33):
