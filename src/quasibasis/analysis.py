@@ -226,24 +226,13 @@ def triple_products(basis: MeasureBasis) -> TripleProducts:
     return TripleProducts(dim=basis.dim, gamma=_triple_tensor(basis.elements))
 
 
-def affine_area(d: int, j: int, k: int, l: int) -> int:
-    """Signed area (mod d) of the triangle with vertices at the flat
-    phase-space indices j, k, l of the d x d affine plane: the cyclic sum
-    of symplectic products <(q,p),(q',p')> = q p' - p q' of the vertices.
-    """
-    pts = [divmod(i % (d * d), d) for i in (j, k, l)]
-
-    def symp(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    area = symp(pts[0], pts[1]) + symp(pts[1], pts[2]) + symp(pts[2], pts[0])
-    return area % d
-
-
 def wootters_triple_oracle(d: int) -> np.ndarray:
     """Prediction (1/d) exp(4 pi i A_jkl / d) of the Wootters triple
-    products from the affine-plane geometry alone, affine_area broadcast
-    over all index triples; independent of any operator arithmetic."""
+    products from the affine-plane geometry alone: A_jkl is the signed area
+    (mod d) of the triangle with vertices at the flat phase-space indices
+    j, k, l, the cyclic sum of the symplectic products q p' - p q' of its
+    vertices, over all index triples; independent of any operator
+    arithmetic."""
     r = np.arange(d * d)
     j, k, l = np.ix_(r, r, r)
     (qj, pj), (qk, pk), (ql, pl) = divmod(j, d), divmod(k, d), divmod(l, d)

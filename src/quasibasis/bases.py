@@ -15,13 +15,20 @@ eigvalsh of the Gram matrix. The Gram spectrum and exact condition, when
 construction did not need them, and the element spectra that the MIC and
 rank-1 refinements need, are computed on first use and cached.
 
-Phi = A G^{-1} and sqrt(Phi) are A^{1/2} U Sigma^{-p} U^T A^{-1/2} (p = 2, 1)
-from the SVD A^{-1/2} C = U Sigma V^T that MeasureBasis._lowdin caches. The
-frame operators are real d^2 x d^2 matrices acting on herm_onb coordinates.
+Every inverse map reads the SVD A^{-1/2} C = U Sigma V^T (C the herm_onb
+coordinates, A = diag(weights)) that MeasureBasis._lowdin caches:
+Phi = A G^{-1} and sqrt(Phi) are A^{1/2} U Sigma^{-p} U^T A^{-1/2}
+(p = 2, 1), and the dual basis has coordinates A^{-1/2} U Sigma^{-1} V^T.
+No inverse is taken from the Gram matrix, which would square the
+condition; a raw stack, or a basis with no Loewdin SVD (a zero weight, or
+one small enough to push the rescaled condition past MAX_GRAM_CONDITION),
+takes one SVD of C for its dual instead. The frame operators are real
+d^2 x d^2 matrices acting on herm_onb coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -31,8 +38,9 @@ import numpy as np
 from .operators import (
     SingularOperatorError,
     _flat,
-    _mix,
+    _square,
     as_hermitian,
+    coords_to_op,
     op_to_coords,
 )
 
@@ -105,9 +113,7 @@ def _failure_summary(failures: dict[str, float]) -> str:
 def _element_stack(candidate) -> np.ndarray:
     """The symmetrized (d^2, d, d) element stack of a candidate basis;
     raises on a malformed shape."""
-    elements = np.asarray(candidate, dtype=complex)
-    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-        raise ValueError(f"expected (n, d, d) elements, got {elements.shape}")
+    elements = _square(candidate, 3, "elements")
     d = elements.shape[1]
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -177,15 +183,8 @@ class MeasureBasis:
         and A^{-1/2} G A^{-1/2} = X X^T = U diag(s^2) U^T.
         """
         w = _positive_weights(self, "the Loewdin factorization")
-        U, s, Vt = np.linalg.svd(self.coords / np.sqrt(w)[:, None],
-                                 full_matrices=False)
-        condition = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
-        if condition > MAX_GRAM_CONDITION:
-            raise SingularOperatorError(
-                f"rescaled Gram matrix is singular (condition {condition:.3e}); "
-                "basis too close to linear dependence"
-            )
-        return U, s, Vt
+        return _guarded_svd(self.coords / np.sqrt(w)[:, None],
+                            "rescaled Gram matrix")
 
     @cached_property
     def _gram_spectrum(self) -> np.ndarray:
@@ -227,6 +226,23 @@ def _gram_of(elements: np.ndarray) -> np.ndarray:
     X = _flat(elements)
     G = X @ X.T
     return (G + G.T) / 2
+
+
+def _guarded_svd(X: np.ndarray,
+                 what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD X = U diag(s) V^T of a real matrix, the one factorization
+    every inverse map of a basis reads. Raises SingularOperatorError, naming
+    ``what`` for X X^T, when the condition (s_0 / s_-1)^2 of X X^T exceeds
+    MAX_GRAM_CONDITION; infinite when X has more rows than columns."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    full_rank = 0 < len(s) == X.shape[0] and s[-1] > 0
+    condition = (s[0] / s[-1]) ** 2 if full_rank else np.inf
+    if condition > MAX_GRAM_CONDITION:
+        raise SingularOperatorError(
+            f"{what} is singular (condition {condition:.3e}); "
+            "basis too close to linear dependence"
+        )
+    return U, s, Vt
 
 
 def _element_ranks(eigs: np.ndarray, rtol: float = RANK_EIG_RTOL) -> np.ndarray:
@@ -416,6 +432,27 @@ def bias_matrix(basis: MeasureBasis) -> np.ndarray:
     return np.diag(basis.weights)
 
 
+def _dual_factors(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, s, V^T) with W diag(1/s) V^T the dual's herm_onb coordinates,
+    the inverse transpose of the coordinate matrix C.
+
+    A MeasureBasis reads them off its cached Loewdin SVD
+    A^{-1/2} C = U Sigma V^T (W = A^{-1/2} U, no new factorization). A raw
+    stack takes one guarded SVD of C (W = U), and so does a basis that has
+    no Loewdin SVD: one with a zero weight, or with a weight so small that
+    the rescaling alone pushes the condition past MAX_GRAM_CONDITION.
+    """
+    if isinstance(basis, MeasureBasis):
+        try:
+            U, s, Vt = basis._lowdin
+            return U / np.sqrt(basis.weights)[:, None], s, Vt
+        except SingularOperatorError:
+            C = basis.coords
+    else:
+        C = op_to_coords(as_hermitian(_square(basis, 3, "elements")))
+    return _guarded_svd(C, "Gram matrix")
+
+
 def dual_basis(basis) -> np.ndarray:
     """Dual elements, tr(dual_i L_j) = delta_ij, stacked as (d^2, d, d).
 
@@ -423,20 +460,12 @@ def dual_basis(basis) -> np.ndarray:
     (the dual is plain frame theory and does not need the sum condition).
     The dual's Gram matrix is the inverse of the input Gram matrix, and
     expansion in the dual gives the reconstruction identity
-    X = sum_i tr(X dual_i) L_i = sum_i tr(X L_i) dual_i.
+    X = sum_i tr(X dual_i) L_i = sum_i tr(X L_i) dual_i. Taken from the
+    SVD of the coordinates (_dual_factors), never from the Gram matrix,
+    whose inverse would square the condition.
     """
-    if isinstance(basis, MeasureBasis):
-        elements, G = basis.elements, basis._structure.gram
-    else:
-        elements = as_hermitian(basis)
-        G = _gram_of(elements)
-    vals, vecs = np.linalg.eigh(G)
-    if vals[0] <= 0 or vals[-1] / vals[0] > MAX_GRAM_CONDITION:
-        raise SingularOperatorError(
-            f"Gram matrix numerically singular (condition "
-            f"{np.inf if vals[0] <= 0 else vals[-1] / vals[0]:.3e})"
-        )
-    return _mix((vecs / vals) @ vecs.T, elements)
+    W, s, Vt = _dual_factors(basis)
+    return coords_to_op((W / s) @ Vt, math.isqrt(Vt.shape[1]))
 
 
 def frame_operator(basis: MeasureBasis) -> np.ndarray:

@@ -46,18 +46,6 @@ class SicOrbitError(ValueError):
         self.max_deviation = max_deviation
 
 
-def wh_flat_index(d: int, k: int, l: int) -> int:
-    """Flat index k*d + l of a Weyl-Heisenberg label pair, reduced mod d."""
-    return (k % d) * d + (l % d)
-
-
-def wh_index_pair(d: int, flat: int) -> tuple[int, int]:
-    """Inverse of wh_flat_index."""
-    if not 0 <= flat < d * d:
-        raise ValueError(f"flat index {flat} out of range for d={d}")
-    return divmod(flat, d)
-
-
 def wh_displacement(d: int, k: int, l: int) -> np.ndarray:
     """Weyl-Heisenberg displacement X^k Z^l, where X|j> = |j+1 mod d> and
     Z|j> = omega^j |j> with omega = exp(2 pi i / d).
@@ -263,7 +251,8 @@ def mic_t_range(basis: MeasureBasis) -> tuple[float, float]:
     w = _positive_weights(basis, "the t-range")
     d = basis.dim
     eps = 1e-12
-    eigs = np.linalg.eigvalsh(basis.elements / w[:, None, None])
+    # eig(L_i / l_i) = eig(L_i) / l_i, from the cached element spectra
+    eigs = basis._element_spectra / w[:, None]
     lo = 1.0 - d * eigs[:, -1]
     hi = 1.0 - d * eigs[:, 0]
     t_min = np.max(1.0 / lo[lo < -eps], initial=-np.inf)

@@ -42,6 +42,17 @@ def _flat(E) -> np.ndarray:
     return E.reshape(E.shape[:-2] + (-1,)).view(float)
 
 
+def _square(A, ndim: int, what: str) -> np.ndarray:
+    """A as a complex array of ndim axes whose last two are equal: one
+    matrix (ndim 2) or a stack of them (ndim 3); raises ValueError naming
+    the expected shape otherwise."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
+        expected = "(d, d)" if ndim == 2 else "(n, d, d)"
+        raise ValueError(f"expected {expected} {what}, got shape {A.shape}")
+    return A
+
+
 def as_hermitian(A) -> np.ndarray:
     """Symmetrize A, or each matrix of an (n, d, d) stack, to (A + A^dag)/2,
     rejecting if the asymmetry exceeds HERMITICITY_RTOL times the norm of A.

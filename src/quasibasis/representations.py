@@ -18,12 +18,12 @@ import numpy as np
 
 from .bases import (
     MeasureBasis,
+    _dual_factors,
     _positive_weights,
     born_matrix,
-    dual_basis,
     rescaled_frame_operator,
 )
-from .operators import _flat, _mix, as_hermitian, coords_to_op, op_to_coords
+from .operators import _flat, _square, as_hermitian, coords_to_op, op_to_coords
 from .wigner import sqrt_born
 
 STATE_TOL = 1e-9
@@ -41,7 +41,7 @@ class POVMValidationError(ValueError):
 def validate_state(rho) -> np.ndarray:
     """Check trace one and positive semidefiniteness within STATE_TOL;
     returns the symmetrized state."""
-    rho = as_hermitian(rho)
+    rho = as_hermitian(_square(rho, 2, "state"))
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError(
@@ -59,10 +59,7 @@ def validate_povm(effects) -> np.ndarray:
     """Check that the effects are PSD and resolve the identity within
     STATE_TOL; returns the symmetrized (n, d, d) stack. Any number of
     outcomes is allowed."""
-    effects = np.asarray(effects, dtype=complex)
-    if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
-        raise ValueError(f"expected (n, d, d) effects, got {effects.shape}")
-    effects = as_hermitian(effects)
+    effects = as_hermitian(_square(effects, 3, "effects"))
     d = effects.shape[1]
     min_eig = float(np.linalg.eigvalsh(effects)[:, 0].min())
     if min_eig < -STATE_TOL:
@@ -112,12 +109,19 @@ class ReconstructedState:
 def probs_to_state(p, basis: MeasureBasis) -> ReconstructedState:
     """Reconstruct sum_i p_i dual_i from (quasi)probabilities; the exact
     inverse of state_to_probs on consistent inputs. ``is_state`` is judged
-    within STATE_TOL."""
+    within STATE_TOL. The sum is formed in herm_onb coordinates from the
+    dual's SVD factors, without stacking the dual elements; a NaN or inf
+    coefficient raises ValueError naming its index."""
     p = np.asarray(p, dtype=float)
     n = basis.dim * basis.dim
     if p.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {p.shape}")
-    op = _mix(p, dual_basis(basis))
+    finite = np.isfinite(p)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite coefficient {p[i]} at index {i}")
+    W, s, Vt = _dual_factors(basis)
+    op = coords_to_op(((p @ W) / s) @ Vt, basis.dim)
     op = (op + op.conj().T) / 2
     tr = float(np.trace(op).real)
     min_eig = float(np.linalg.eigvalsh(op)[0])

@@ -81,6 +81,32 @@ def wh_covariant_reference(basis, tol):
     return True
 
 
+def wh_flat_index(d, k, l):
+    """Flat index k*d + l of a Weyl-Heisenberg label pair, reduced mod d."""
+    return (k % d) * d + (l % d)
+
+
+def wh_index_pair(d, flat):
+    """Inverse of wh_flat_index."""
+    if not 0 <= flat < d * d:
+        raise ValueError(f"flat index {flat} out of range for d={d}")
+    return divmod(flat, d)
+
+
+def affine_area(d, j, k, l):
+    """Per-triple reference for analysis.wootters_triple_oracle: the signed
+    area (mod d) of the triangle with vertices at the flat phase-space
+    indices j, k, l of the d x d affine plane, the cyclic sum of the
+    symplectic products <(q,p),(q',p')> = q p' - p q' of the vertices."""
+    pts = [divmod(i % (d * d), d) for i in (j, k, l)]
+
+    def symp(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    area = symp(pts[0], pts[1]) + symp(pts[1], pts[2]) + symp(pts[2], pts[0])
+    return area % d
+
+
 def _fmt_float_reference(x):
     if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")

@@ -4,7 +4,6 @@ import pytest
 from quasibasis.analysis import (
     MATCH_TOL,
     _triple_tensor,
-    affine_area,
     ceiling_negativity,
     ceiling_negativity_sampled,
     diagnostics,
@@ -31,7 +30,7 @@ from quasibasis.constructions import (
 )
 from quasibasis.wigner import principal_wigner, shifted
 
-from conftest import perturbed, wh_covariant_reference
+from conftest import affine_area, perturbed, wh_covariant_reference
 
 
 def test_distance_to_self_is_zero():

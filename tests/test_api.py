@@ -59,8 +59,6 @@ SIGNATURES = {
     "bases.BornMatrix.column_sum_residual": [],
     "bases.BornMatrix.weight_eigvec_residual": [],
     "bases.born_matrix": ["basis"],
-    "constructions.wh_flat_index": ["d", "k", "l"],
-    "constructions.wh_index_pair": ["d", "flat"],
     "constructions.wh_displacement": ["d", "k", "l"],
     "constructions.sic_gram": ["d"],
     "constructions.sic_gram_deviation": ["elements"],
@@ -117,7 +115,6 @@ SIGNATURES = {
     "analysis.TripleProducts.conjugation_residual": [],
     "analysis.TripleProducts.sum_rule_residual": ["basis"],
     "analysis.triple_products": ["basis"],
-    "analysis.affine_area": ["d", "j", "k", "l"],
     "analysis.wootters_triple_oracle": ["d"],
     "analysis.sic_triple_relation_check": ["sic", "sign"],
     "analysis.DiagnosticsReport": [

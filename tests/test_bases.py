@@ -286,6 +286,58 @@ def test_reconstruction_identities(rng):
         np.testing.assert_allclose(X2, X, atol=1e-9)
 
 
+def biorthogonality(duals, elements):
+    """max |tr(D_i L_j) - delta_ij|."""
+    pairing = np.einsum("aij,bji->ab", duals, elements).real
+    return np.max(np.abs(pairing - np.eye(len(elements))))
+
+
+def test_dual_of_zero_weight_basis_is_biorthogonal():
+    # no Loewdin factor divides by the zero weight: one SVD of C instead
+    basis = zero_weight_basis()
+    assert biorthogonality(dual_basis(basis), basis.elements) <= 1e-14
+
+
+def test_dual_of_tiny_weight_basis_is_biorthogonal():
+    # Gram condition ~10, but rescaling by a weight of 2e-12 takes the
+    # Loewdin factor past MAX_GRAM_CONDITION: the dual falls back to C
+    w = 2e-12
+    eye = np.eye(2)
+    basis = MeasureBasis([
+        SX / 2 + w * eye / 2,
+        eye / 3 + SY / 4,
+        eye / 3 + SZ / 4,
+        eye / 3 - w * eye / 2 - SX / 2 - SY / 4 - SZ / 4,
+    ])
+    assert basis.classify().gram_condition < 20
+    with pytest.raises(SingularOperatorError, match="rescaled"):
+        principal_wigner(basis)
+    assert biorthogonality(dual_basis(basis), basis.elements) <= 1e-14
+
+
+def nearly_dependent(eps):
+    """herm_onb(2) with its last element moved to within eps of another."""
+    E = herm_onb(2).copy()
+    E[3] = E[2] + eps * E[3]
+    return E
+
+
+@pytest.mark.parametrize("E, admitted", [
+    (nearly_dependent(1e-5), True),  # Gram condition ~1e10
+    (nearly_dependent(1e-7), False),  # ~1e14, beyond MAX_GRAM_CONDITION
+    (nearly_dependent(0.0), False),
+    (np.concatenate([herm_onb(2), herm_onb(2)[:1]]), False),  # 5 in 4 dims
+], ids=["kappa-1e10", "kappa-1e14", "dependent", "over-full"])
+def test_dual_of_raw_stack_rejects_dependence(E, admitted):
+    if admitted:
+        # eps sqrt(kappa) scale; inverting G lost 2e-6 here
+        assert biorthogonality(dual_basis(E), E) <= 1e-10
+    else:
+        with pytest.raises(SingularOperatorError,
+                           match="Gram matrix is singular"):
+            dual_basis(E)
+
+
 def test_rescaled_frame_operator_of_wigner_is_identity():
     F = wootters_wigner(3)
     S = rescaled_frame_operator(F)

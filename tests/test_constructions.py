@@ -18,15 +18,13 @@ from quasibasis.constructions import (
     tensor_basis,
     tensorhedron,
     wh_displacement,
-    wh_flat_index,
-    wh_index_pair,
     wootters_wigner,
 )
 from quasibasis.analysis import distance, distance_bounds, wh_covariant
 from quasibasis.wigner import principal_wigner, shifted
 from quasibasis.operators import SingularOperatorError
 
-from conftest import SX, SZ, random_unitary
+from conftest import SX, SZ, random_unitary, wh_flat_index, wh_index_pair
 
 
 def test_wh_displacement_paulis():

@@ -1,9 +1,11 @@
 """The real-view Hilbert-Schmidt kernels and the builders' operator-stack
 contractions against the einsum formulas they replace, a guard that the hot
-path never plans an einsum, and a guard that no module contracts more than
-two arrays in one einsum."""
+path never plans an einsum, a guard that no module contracts more than
+two arrays in one einsum, and a guard that the inverse maps of a basis
+factorize nothing once its Loewdin SVD and element spectra are cached."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +15,21 @@ import quasibasis
 
 from quasibasis import (
     MeasureBasis,
+    born_matrix,
     collinear,
     distance,
     distance_bounds,
+    dual_basis,
     gauge_split,
     lift,
+    mic_t_range,
     principal_wigner,
+    probs_to_state,
     random_mic,
     random_unbiased_mic,
     shifted,
+    sqrt_born,
+    state_to_probs,
     tensor_basis,
     wigner_equivalent,
 )
@@ -247,3 +255,61 @@ def test_no_module_contracts_three_operands_in_one_einsum():
     found = [hit for path in modules
              for hit in wide_einsums(path.read_text(), path.name)]
     assert found == []
+
+
+def count_linalg(monkeypatch) -> list[str]:
+    """Route every numpy.linalg function through a wrapper that appends its
+    name to the returned list on each call."""
+    calls = []
+    for name in np.linalg.__all__:
+        func = getattr(np.linalg, name)
+        if inspect.isclass(func):
+            continue
+
+        def counting(*args, _name=name, _func=func, **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_inverse_maps_reuse_the_cached_factorizations(monkeypatch):
+    L = collinear(random_unbiased_mic(4, 3), 0.5)
+    F = principal_wigner(L).basis
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    p = state_to_probs(rho, L)
+    fresh = MeasureBasis(L.elements)
+    raw = np.array(L.elements)
+    L._lowdin, L._element_spectra  # the factorizations a basis caches
+
+    calls = count_linalg(monkeypatch)
+    np.linalg.eigvalsh(np.eye(2))
+    assert calls == ["eigvalsh"]  # the wrappers see a direct call
+
+    for call in (dual_basis, born_matrix, sqrt_born, mic_t_range):
+        calls.clear()
+        call(L)
+        assert calls == [], call.__name__
+    calls.clear()
+    rec = probs_to_state(p, L)
+    assert calls == ["eigvalsh"]  # of the output, for is_state
+    assert rec.is_state
+
+    # lift factorizes only to validate its output, as any new basis does
+    calls.clear()
+    out = lift(F, L)
+    lifted = list(calls)
+    calls.clear()
+    MeasureBasis(out.elements)
+    assert lifted == calls == ["eigvalsh"]
+
+    # an uncached basis takes the one Loewdin SVD, then reuses it; a raw
+    # stack takes one SVD of its coordinates
+    calls.clear()
+    dual_basis(fresh)
+    probs_to_state(p, fresh)
+    assert calls == ["svd", "eigvalsh"]
+    calls.clear()
+    dual_basis(raw)
+    assert calls == ["svd"]

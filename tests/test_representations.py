@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from quasibasis.bases import BasisValidationError, MeasureBasis, dual_basis
 from quasibasis.constructions import (
     builtin_sic,
+    collinear,
     random_mic,
     random_unbiased_mic,
     wootters_wigner,
@@ -92,6 +96,62 @@ def test_probs_to_state_flags_non_state():
     np.testing.assert_allclose(
         rec.operator, F.elements[0] / F.weights[0], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probs_to_state_rejects_non_finite(bad):
+    basis = random_mic(2, 5)
+    p = basis.weights / 2
+    p[2] = bad
+    with pytest.raises(ValueError,
+                       match=f"non-finite coefficient {bad} at index 2"):
+        probs_to_state(p, basis)
+
+
+def test_probs_round_trip_across_the_admitted_conditioning():
+    # collinear members of random unbiased MICs close to the identity: the
+    # Gram condition kappa runs from ~1e6 to ~7e11. The dual comes from the
+    # SVD of the coordinates, so the round trip loses eps * sqrt(kappa), not
+    # eps * kappa: the measured worst is 0.28 eps sqrt(kappa) (1.4e-11)
+    eps = np.finfo(float).eps
+    kappas = []
+    for d in (3, 4, 6):
+        for seed in range(1, 9):
+            L = random_unbiased_mic(d, seed)
+            rng = np.random.default_rng(1000 * d + seed)
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            rho = np.eye(d) / (2 * d) + np.outer(psi, psi.conj()) / 2
+            for t in (1e-2, 3e-3, 1e-3, -1e-3, 3e-4, -3e-4):
+                try:
+                    B = collinear(L, t)
+                except BasisValidationError:
+                    continue  # condition beyond MAX_GRAM_CONDITION
+                kappa = B.classify().gram_condition
+                rec = probs_to_state(state_to_probs(rho, B), B)
+                err = np.max(np.abs(rec.operator - rho))
+                case = (d, seed, t, kappa, err)
+                assert rec.is_state, case
+                assert err <= 4 * eps * np.sqrt(kappa), case
+                kappas.append(kappa)
+    assert len(kappas) >= 100
+    assert sum(k >= 1e10 for k in kappas) >= 20 and max(kappas) >= 1e11
+
+
+@pytest.mark.parametrize("call, arg, expected", [
+    (validate_state, np.stack([np.eye(2) / 2] * 3),
+     "expected (d, d) state, got shape (3, 2, 2)"),
+    (validate_state, np.ones(2) / 2, "expected (d, d) state, got shape (2,)"),
+    (validate_povm, np.eye(2), "expected (n, d, d) effects, got shape (2, 2)"),
+    (dual_basis, np.eye(2), "expected (n, d, d) elements, got shape (2, 2)"),
+    (dual_basis, np.ones((4, 2, 3)),
+     "expected (n, d, d) elements, got shape (4, 2, 3)"),
+    (MeasureBasis, np.eye(2), "expected (n, d, d) elements, got shape (2, 2)"),
+], ids=["state-stack", "state-vector", "povm-matrix", "dual-matrix",
+        "dual-non-square", "basis-matrix"])
+def test_wrong_shapes_name_the_expected_shape(call, arg, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        call(arg)
 
 
 def test_conditional_matrix_columns_sum_to_one(rng):
