@@ -21,7 +21,7 @@ import numpy as np
 
 from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, gram
 from .constructions import SIC_TOL, sic_gram_deviation, wh_displacement
-from .operators import _flat
+from .operators import _flat, _square
 from .wigner import _greedy_match, principal_wigner, shifted
 
 SATURATION_TOL = 1e-9
@@ -35,9 +35,8 @@ TRIPLE_BYTES_BUDGET = 2**28
 def distance(left: MeasureBasis, right: MeasureBasis) -> float:
     """Sum over elements of the squared Hilbert-Schmidt distance,
     sum_i tr((L_i - M_i)^2)."""
-    if left.dim != right.dim or len(left) != len(right):
-        raise ValueError("shape mismatch between bases")
-    x = _flat(left.elements - right.elements).ravel()
+    R = _square(right.elements, 3, "right basis", left.dim)
+    x = _flat(left.elements - R).ravel()
     return float(x @ x)
 
 
@@ -259,19 +258,22 @@ def sic_triple_relation_check(sic: MeasureBasis, sign: int) -> float:
         raise ValueError(
             f"input is not a SIC (Gram deviation {dev:.3e} > {SIC_TOL:.1e})"
         )
-    projectors = d * sic.elements
     F = principal_wigner(sic).basis
     if sign < 0:
         F = shifted(F)
     s = sign * np.sqrt(d + 1.0)
-    lhs = d * _triple_tensor(F.elements)
-    tri = _triple_tensor(projectors) / d**2
-    delta = np.eye(d * d)
-    delta_sum = (
-        delta[:, :, None] + delta[None, :, :] + delta[:, None, :]
-    )
-    rhs = s**3 * tri + (1.0 - s) * delta_sum + (s * (2.0 - d) - 2.0) / d**2
-    return float(np.max(np.abs(lhs - rhs)))
+    # lhs - rhs in place, the projector tensor dropped once subtracted
+    resid = _triple_tensor(F.elements)
+    resid *= d
+    tri = _triple_tensor(d * sic.elements)
+    tri *= s**3 / d**2
+    resid -= tri
+    del tri
+    i = np.arange(d * d)
+    for diagonal in (np.s_[i, i, :], np.s_[:, i, i], np.s_[i, :, i]):
+        resid[diagonal] -= 1.0 - s
+    resid -= (s * (2.0 - d) - 2.0) / d**2
+    return float(max(np.max(np.abs(slab)) for slab in resid))
 
 
 @dataclass

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .bases import BasisValidationError, MeasureBasis, _gram_of, _positive_weights
-from .operators import SingularOperatorError, _mix
+from .operators import SingularOperatorError, _mix, _square
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -79,6 +79,7 @@ def sic_gram(d: int) -> np.ndarray:
 
 def sic_gram_deviation(elements: np.ndarray) -> float:
     """Max entrywise deviation of a stack's Gram matrix from the SIC one."""
+    elements = _square(elements, 3, "elements")
     return float(np.max(np.abs(_gram_of(elements) - sic_gram(elements.shape[1]))))
 
 
@@ -89,7 +90,9 @@ def sic_from_fiducial(fiducial, tol: float = SIC_TOL) -> MeasureBasis:
     Raises SicOrbitError (carrying the max deviation) unless the orbit's
     Gram matrix matches the SIC form within tol.
     """
-    f = np.asarray(fiducial, dtype=complex).reshape(-1)
+    f = np.asarray(fiducial, dtype=complex)
+    if f.ndim != 1:
+        raise ValueError(f"expected (d,) fiducial, got shape {f.shape}")
     d = f.shape[0]
     _check_dim(d)
     norm = np.linalg.norm(f)

@@ -14,6 +14,9 @@ coordinates (_flat(A) M^T with M = _flat(herm_onb(d))), their inverse
 (v M, read back as complex), Gram matrices (X X^T with X = _flat(E)) and
 real linear combinations of elements (c X, read back as complex) are each
 one real matrix product.
+
+_square checks every operator argument's shape and dimension: a (d, d)
+operator or an (n, d, d) stack, of the expected d, or a ValueError.
 """
 
 from __future__ import annotations
@@ -42,14 +45,19 @@ def _flat(E) -> np.ndarray:
     return E.reshape(E.shape[:-2] + (-1,)).view(float)
 
 
-def _square(A, ndim: int, what: str) -> np.ndarray:
-    """A as a complex array of ndim axes whose last two are equal: one
-    matrix (ndim 2) or a stack of them (ndim 3); raises ValueError naming
-    the expected shape otherwise."""
+def _square(A, ndim: int | None, what: str, d: int | None = None) -> np.ndarray:
+    """A as a complex (d, d) matrix (ndim 2), (n, d, d) stack (ndim 3) or
+    either (ndim None), of dimension d when given; raises ValueError naming
+    the expected shape, or both dimensions, otherwise."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
-        expected = "(d, d)" if ndim == 2 else "(n, d, d)"
+    ndims = (2, 3) if ndim is None else (ndim,)
+    if A.ndim not in ndims or A.shape[-1] != A.shape[-2]:
+        expected = {2: "(d, d)", 3: "(n, d, d)"}.get(ndim, "(d, d) or (n, d, d)")
         raise ValueError(f"expected {expected} {what}, got shape {A.shape}")
+    if d is not None and A.shape[-1] != d:
+        raise ValueError(
+            f"dimension mismatch: {what} d={A.shape[-1]}, expected d={d}"
+        )
     return A
 
 
@@ -62,9 +70,7 @@ def as_hermitian(A) -> np.ndarray:
     Frobenius norm is not finite (a NaN or inf entry, or entries too large
     to square) raises ValueError naming it, before any factorization sees it.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix or stack, got shape {A.shape}")
+    A = _square(A, None, "operator")
     where = " (element {})" if A.ndim == 3 else ""
     # Frobenius norms as row norms of the real views
     a = _flat(A)
@@ -93,10 +99,8 @@ def as_hermitian(A) -> np.ndarray:
 
 def hs_inner(A, B) -> float:
     """Hilbert-Schmidt inner product tr(AB) of two Hermitian operators."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    A = _square(A, 2, "operator")
+    B = _square(B, 2, "operator", A.shape[0])
     return float(np.einsum("ij,ji->", A, B).real)
 
 
@@ -150,9 +154,7 @@ def op_to_coords(A) -> np.ndarray:
     Coordinate a is Re tr(B_a A), so a non-Hermitian A maps to the
     coordinates of its Hermitian part.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix or stack, got shape {A.shape}")
+    A = _square(A, None, "operator")
     return _flat(A) @ _onb_flat(A.shape[-1]).T
 
 

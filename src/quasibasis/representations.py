@@ -77,12 +77,7 @@ def validate_povm(effects) -> np.ndarray:
 def _born(E: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """tr(E_j rho) of a Hermitian (n, d, d) stack and a Hermitian rho, as
     one real matrix product: tr(AB) = _flat(A) . _flat(B)."""
-    if rho.shape != E.shape[1:]:
-        raise ValueError(
-            f"dimension mismatch between state (d={rho.shape[0]}) and "
-            f"operators (d={E.shape[-1]})"
-        )
-    return _flat(E) @ _flat(rho)
+    return _flat(E) @ _flat(_square(rho, 2, "state", E.shape[-1]))
 
 
 def state_to_probs(rho, basis: MeasureBasis) -> np.ndarray:
@@ -162,9 +157,7 @@ def conditional_matrix(effects, basis: MeasureBasis) -> np.ndarray:
     """Conditional probabilities P(D_j | H_i) = tr(D_j L_i / l_i); rows are
     D outcomes, columns the d^2 reference outcomes. Column sums are one
     when the effects form a POVM."""
-    effects = np.asarray(effects, dtype=complex)
-    if effects.shape[1] != basis.dim:
-        raise ValueError("dimension mismatch between effects and basis")
+    effects = _square(effects, 3, "effects", basis.dim)
     w = _positive_weights(basis, "the conditional matrix")
     # Re tr(D_j L_i) = _flat(D_j) . _flat(L_i), since L_i is Hermitian
     return (_flat(effects) @ _flat(basis.elements).T) / w
@@ -176,8 +169,8 @@ def two_step_q(effects, basis: MeasureBasis, rho) -> tuple[np.ndarray, np.ndarra
     is the quantum replacement for the law of total probability."""
     D = validate_povm(effects)
     rho = validate_state(rho)
-    q_direct = _born(D, rho)
     cond = conditional_matrix(D, basis)
+    q_direct = _born(D, rho)
     phi = born_matrix(basis).phi
     q_cascade = cond @ (phi @ _born(basis.elements, rho))
     return q_direct, q_cascade
@@ -233,8 +226,6 @@ def ebmc_apply(basis: MeasureBasis, X) -> np.ndarray:
     entanglement-breaking MIC channel, and for a Wigner basis the identity
     map.
     """
-    X = as_hermitian(X)
-    if X.shape[0] != basis.dim:
-        raise ValueError("dimension mismatch")
+    X = as_hermitian(_square(X, 2, "operator", basis.dim))
     S = rescaled_frame_operator(basis)
     return coords_to_op(op_to_coords(X) @ S.T, basis.dim)

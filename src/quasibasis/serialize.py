@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bases import MeasureBasis
+from .operators import _square
 from .representations import validate_povm, validate_state
 
 
@@ -165,7 +166,9 @@ def read_fiducial(path) -> np.ndarray:
 
 
 def write_fiducial(fiducial, path) -> None:
-    f = np.asarray(fiducial, dtype=complex).reshape(-1)
+    f = np.asarray(fiducial, dtype=complex)
+    if f.ndim != 1:
+        raise ValueError(f"expected (d,) fiducial, got shape {f.shape}")
     doc = {"dimension": f.shape[0], "amplitudes": _pairs(f)}
     Path(path).write_text(dumps_json(doc) + "\n")
 
@@ -179,6 +182,6 @@ def read_state(path) -> np.ndarray:
 
 
 def write_state(rho, path) -> None:
-    rho = np.asarray(rho, dtype=complex)
+    rho = _square(rho, 2, "state")
     doc = {"dimension": rho.shape[0], "matrix": _pairs(rho)}
     Path(path).write_text(dumps_json(doc) + "\n")

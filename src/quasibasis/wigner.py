@@ -39,7 +39,7 @@ from .bases import (
     _positive_weights,
 )
 from .constructions import collinear
-from .operators import SingularOperatorError, _flat, _mix, coords_to_op
+from .operators import SingularOperatorError, _flat, _mix, _square, coords_to_op
 
 CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
@@ -268,8 +268,7 @@ def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
     failure is reported as its own verdict since it does not prove
     inequivalence.
     """
-    if left.dim != right.dim:
-        raise ValueError("dimension mismatch")
+    _square(right.elements, 3, "right basis", left.dim)
     if mode not in ("ordered", "permuted"):
         raise ValueError(f"unknown mode {mode!r}")
     FL = principal_wigner(left).basis
@@ -325,8 +324,7 @@ def lift(wigner_basis: MeasureBasis, reference: MeasureBasis) -> MeasureBasis:
     """
     if not wigner_basis._structure.is_wigner:
         raise ValueError("lift input must be a Wigner basis")
-    if wigner_basis.dim != reference.dim:
-        raise ValueError("dimension mismatch")
+    _square(reference.elements, 3, "reference basis", wigner_basis.dim)
     _, s, Vt = reference._lowdin
     coords = wigner_basis.coords @ ((Vt.T * s) @ Vt)  # S_L^{1/2} = V Sigma V^T
     return MeasureBasis(

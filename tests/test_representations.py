@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -9,8 +10,12 @@ from quasibasis.constructions import (
     collinear,
     random_mic,
     random_unbiased_mic,
+    sic_from_fiducial,
+    sic_gram_deviation,
     wootters_wigner,
 )
+from quasibasis.operators import as_hermitian, hs_inner, op_to_coords
+from quasibasis.serialize import write_fiducial, write_state
 from quasibasis import representations
 from quasibasis.representations import (
     POVMValidationError,
@@ -147,8 +152,31 @@ def test_probs_round_trip_across_the_admitted_conditioning():
     (dual_basis, np.ones((4, 2, 3)),
      "expected (n, d, d) elements, got shape (4, 2, 3)"),
     (MeasureBasis, np.eye(2), "expected (n, d, d) elements, got shape (2, 2)"),
+    (lambda X: ebmc_apply(random_mic(3, 1), X), np.stack([np.eye(3) / 3] * 3),
+     "expected (d, d) operator, got shape (3, 3, 3)"),
+    (lambda D: conditional_matrix(D, random_mic(3, 1)), np.eye(3),
+     "expected (n, d, d) effects, got shape (3, 3)"),
+    (lambda D: conditional_matrix(D, random_mic(3, 1)), np.ones(3),
+     "expected (n, d, d) effects, got shape (3,)"),
+    (as_hermitian, np.ones(3),
+     "expected (d, d) or (n, d, d) operator, got shape (3,)"),
+    (op_to_coords, np.ones((2, 2, 2, 2)),
+     "expected (d, d) or (n, d, d) operator, got shape (2, 2, 2, 2)"),
+    (lambda A: hs_inner(A, np.eye(2)), np.stack([np.eye(2)] * 3),
+     "expected (d, d) operator, got shape (3, 2, 2)"),
+    (sic_gram_deviation, np.eye(2),
+     "expected (n, d, d) elements, got shape (2, 2)"),
+    (sic_from_fiducial, np.eye(2) / np.sqrt(2),
+     "expected (d,) fiducial, got shape (2, 2)"),
+    (lambda f: write_fiducial(f, os.devnull), np.eye(2),
+     "expected (d,) fiducial, got shape (2, 2)"),
+    (lambda rho: write_state(rho, os.devnull), np.ones((2, 3)),
+     "expected (d, d) state, got shape (2, 3)"),
 ], ids=["state-stack", "state-vector", "povm-matrix", "dual-matrix",
-        "dual-non-square", "basis-matrix"])
+        "dual-non-square", "basis-matrix", "ebmc-stack", "conditional-matrix",
+        "conditional-vector", "hermitian-vector", "coords-4d",
+        "hs-inner-stack", "sic-deviation-matrix", "fiducial-matrix",
+        "write-fiducial-matrix", "write-state-non-square"])
 def test_wrong_shapes_name_the_expected_shape(call, arg, expected):
     with pytest.raises(ValueError, match=re.escape(expected)):
         call(arg)
