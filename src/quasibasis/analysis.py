@@ -231,12 +231,14 @@ def wootters_triple_oracle(d: int) -> np.ndarray:
     (mod d) of the triangle with vertices at the flat phase-space indices
     j, k, l, the cyclic sum of the symplectic products q p' - p q' of its
     vertices, over all index triples; independent of any operator
-    arithmetic."""
-    r = np.arange(d * d)
-    j, k, l = np.ix_(r, r, r)
-    (qj, pj), (qk, pk), (ql, pl) = divmod(j, d), divmod(k, d), divmod(l, d)
-    area = (qj * pk - pj * qk) + (qk * pl - pk * ql) + (ql * pj - pl * qj)
-    return np.exp(4j * np.pi * (area % d) / d) / d
+    arithmetic. The areas are one int16 n^3 array, summed in place from the
+    n x n symplectic form mod d, that indexes a table of the d phases."""
+    q, p = divmod(np.arange(d * d), d)
+    symp = ((np.outer(q, p) - np.outer(p, q)) % d).astype(np.int16)
+    area = np.add(symp[:, :, None], symp[None, :, :])  # <j,k> + <k,l>
+    area += symp.T[:, None, :]  # + <l,j>
+    area %= d
+    return (np.exp(4j * np.pi * np.arange(d) / d) / d)[area]
 
 
 def sic_triple_relation_check(sic: MeasureBasis, sign: int) -> float:

@@ -89,18 +89,18 @@ def _cmd_construct(args) -> int:
                 serialize.read_fiducial(args.fiducial),
                 tol=_tol(args, constructions.SIC_TOL),
             )
-        elif args.d:
+        elif args.d is not None:
             basis = constructions.builtin_sic(args.d)
         else:
             raise InputError("construct sic needs --d or --fiducial")
     elif kind == "wootters":
-        if not args.d:
+        if args.d is None:
             raise InputError("construct wootters needs --d")
         constructions._check_dim(args.d)  # before factoring a huge --d
         basis = constructions.composite_wootters(
             constructions.prime_factors(args.d))
     elif kind == "tensorhedron":
-        if not args.n:
+        if args.n is None:
             raise InputError("construct tensorhedron needs --n")
         basis = constructions.tensorhedron(args.n)
     elif kind == "collinear":
@@ -110,7 +110,7 @@ def _cmd_construct(args) -> int:
             serialize.read_basis(args.infile), args.t
         )
     elif kind == "random":
-        if not args.d or args.seed is None:
+        if args.d is None or args.seed is None:
             raise InputError("construct random needs --d and --seed")
         maker = {
             "mic": constructions.random_mic,
@@ -216,6 +216,8 @@ def _verify_collinear(args) -> int:
         ts = [float(x) for x in args.t.split(",") if x.strip()]
     except ValueError as exc:
         raise InputError(f"bad --t list {args.t!r}") from exc
+    if not ts:
+        raise InputError(f"--t list {args.t!r} holds no values")
     pw_tol = _tol(args, 1e-8)
     # Relative to the predicted entries: Phi grows with the Gram condition,
     # and its roundoff with it.
@@ -330,7 +332,8 @@ _VERIFY_SUITES = {
 
 def _cmd_represent(args) -> int:
     basis = serialize.read_basis(args.basis)
-    rho = serialize.read_state(args.state)
+    # schema checks only: the library validates the state and effects once
+    rho = serialize._read_state_matrix(args.state)
     if args.mode == "probs":
         if not basis.classify().is_mic:
             raise InputError(
@@ -348,10 +351,18 @@ def _cmd_represent(args) -> int:
             "negativity": qd.negativity,
         }
     else:  # split
-        effects = (
-            serialize.read_povm(args.povm) if args.povm else basis.elements
-        )
-        split = representations.gauge_split(effects, basis, rho)
+        effects = basis.elements
+        if args.povm:
+            effects, _ = serialize._read_elements(
+                args.povm, expect_square_count=False)
+        try:
+            split = representations.gauge_split(effects, basis, rho)
+        except representations.POVMValidationError as exc:
+            if args.povm:
+                raise
+            raise InputError(
+                "split mode needs --povm unless the basis is a MIC: the "
+                f"default effects are the basis elements ({exc})") from exc
         payload = {
             "mode": "split",
             "left": split.left,

@@ -173,12 +173,17 @@ def write_fiducial(fiducial, path) -> None:
     Path(path).write_text(dumps_json(doc) + "\n")
 
 
-def read_state(path) -> np.ndarray:
-    """Load and validate a density-operator file."""
+def _read_state_matrix(path) -> np.ndarray:
+    """A state file's matrix, checked against the schema only."""
     doc = _load_doc(path)
     d = _dimension(doc, path)
-    rho = _pairs_to_complex(_require(doc, "matrix", path), (d, d), f"{path} matrix")
-    return validate_state(rho)
+    return _pairs_to_complex(_require(doc, "matrix", path), (d, d),
+                             f"{path} matrix")
+
+
+def read_state(path) -> np.ndarray:
+    """Load and validate a density-operator file."""
+    return validate_state(_read_state_matrix(path))
 
 
 def write_state(rho, path) -> None:

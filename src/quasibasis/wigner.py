@@ -14,10 +14,11 @@ instead: two routes on different factorizations, the strongest internal
 consistency check available. Nothing else uses that eigendecomposition.
 
 The routes share no intermediate result, so from d = 6 up (d^2 >=
-_CONCURRENT_MIN_N elements) the check route runs on one persistent worker
-thread while the calling thread takes the polar route, provided the host
-leaves a core for it: two or more CPUs in the process's affinity mask, and
-BLAS pinned to one thread (at least one of OPENBLAS_NUM_THREADS,
+_CONCURRENT_MIN_N elements) the check route runs on a one-thread
+concurrent.futures executor, made and imported on first use and dropped in
+a forked child, while the calling thread takes the polar route, provided
+the host leaves a core for it: two or more CPUs in the process's affinity
+mask, and BLAS pinned to one thread (at least one of OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS set, and every one that is set equal to
 1). Otherwise the routes run one after the other. Both ways compute the
 same numbers.
@@ -45,7 +46,7 @@ CROSS_CHECK_TOL = 1e-8
 EQUIV_TOL = 1e-8
 
 # Smallest element count n = d^2 at which principal_wigner overlaps its two
-# routes. Below it, handing the check route to the worker costs more than
+# routes. Below it, handing the check route to the executor costs more than
 # it saves (measured with one BLAS thread on two cores; see CHANGES.md).
 _CONCURRENT_MIN_N = 36
 
@@ -112,7 +113,7 @@ def _sqrtphi_route(G: np.ndarray, weights: np.ndarray,
 
 def _concurrent(n: int) -> bool:
     """Whether principal_wigner runs the check route of a basis of n
-    elements on the worker thread: n >= _CONCURRENT_MIN_N, two or more CPUs
+    elements on the executor: n >= _CONCURRENT_MIN_N, two or more CPUs
     available to the process, and BLAS pinned to one thread, so that the
     two routes do not compete for one core's BLAS."""
     if n < _CONCURRENT_MIN_N:
@@ -125,50 +126,32 @@ def _concurrent(n: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-# (pid, job queue) of the worker thread; a forked child has a different pid
-# and starts its own, since it does not inherit the parent's thread. The
-# lock keeps two first callers from starting two workers.
-_worker = None
-_worker_lock = threading.Lock()
+# The check route's executor and the lock that makes it once. A forked
+# child inherits neither the executor's thread nor a free lock: it drops both.
+_pool = None
+_pool_lock = threading.Lock()
 
 
-def _serve(jobs) -> None:
-    while True:
-        func, args, reply = jobs.get()
-        try:
-            reply.put((func(*args), None))
-        except BaseException as exc:  # handed to the waiting caller
-            reply.put((None, exc))
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
-def _submit(func, *args):
-    """Queue func(*args) on the worker thread, starting it on first use in
-    this process; returns the queue that receives (result, exception)."""
-    global _worker
-    # imported here, so a process that never overlaps does not pay for it
-    from queue import SimpleQueue
-
-    worker = _worker
-    if worker is None or worker[0] != os.getpid():
-        with _worker_lock:
-            if _worker is None or _worker[0] != os.getpid():
-                jobs = SimpleQueue()
-                threading.Thread(target=_serve, args=(jobs,), daemon=True,
-                                 name="quasibasis-check-route").start()
-                _worker = (os.getpid(), jobs)
-            worker = _worker
-    reply = SimpleQueue()
-    worker[1].put((func, args, reply))
-    return reply
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _result(reply):
-    """Wait for a job queued by _submit; return its result or raise its
-    exception."""
-    value, exc = reply.get()
-    if exc is not None:
-        raise exc
-    return value
+def _check_pool():
+    """The check route's one-thread executor, made (and concurrent.futures
+    imported) on first use in this process."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                1, thread_name_prefix="quasibasis-check-route")
+    return _pool
 
 
 def principal_wigner(basis: MeasureBasis) -> PWResult:
@@ -188,16 +171,13 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     # both routes divide by the weights: reject a zero weight before either
     w = _positive_weights(basis, "the Loewdin factorization")
     check = (basis._structure.gram, w, basis.elements)
-    reply = _submit(_sqrtphi_route, *check) if _concurrent(len(basis)) else None
-    try:
-        U, _, Vt = basis._lowdin
-        polar = np.sqrt(w)[:, None] * (U @ Vt)
-        via_polar = coords_to_op(polar, basis.dim)
-    except BaseException:
-        if reply is not None:
-            reply.get()  # the polar route's error wins, as inline
-        raise
-    via_sqrtphi = _sqrtphi_route(*check) if reply is None else _result(reply)
+    job = (_check_pool().submit(_sqrtphi_route, *check)
+           if _concurrent(len(basis)) else None)
+    # a polar-route error wins, as inline; the check job finishes on its own
+    U, _, Vt = basis._lowdin
+    polar = np.sqrt(w)[:, None] * (U @ Vt)
+    via_polar = coords_to_op(polar, basis.dim)
+    via_sqrtphi = _sqrtphi_route(*check) if job is None else job.result()
 
     cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
     if cross_error > CROSS_CHECK_TOL:

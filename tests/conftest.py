@@ -107,6 +107,16 @@ def affine_area(d, j, k, l):
     return area % d
 
 
+def wootters_triple_oracle_reference(d):
+    """Whole-tensor reference for analysis.wootters_triple_oracle: the
+    areas from n^3 int64 index arrays, one expression for all triples."""
+    r = np.arange(d * d)
+    j, k, l = np.ix_(r, r, r)
+    (qj, pj), (qk, pk), (ql, pl) = divmod(j, d), divmod(k, d), divmod(l, d)
+    area = (qj * pk - pj * qk) + (qk * pl - pk * ql) + (ql * pj - pl * qj)
+    return np.exp(4j * np.pi * (area % d) / d) / d
+
+
 def _fmt_float_reference(x):
     if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")

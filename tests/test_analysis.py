@@ -30,7 +30,12 @@ from quasibasis.constructions import (
 )
 from quasibasis.wigner import principal_wigner, shifted
 
-from conftest import affine_area, perturbed, wh_covariant_reference
+from conftest import (
+    affine_area,
+    perturbed,
+    wh_covariant_reference,
+    wootters_triple_oracle_reference,
+)
 
 
 def test_distance_to_self_is_zero():
@@ -216,6 +221,25 @@ def test_wootters_triples_match_affine_area(d):
           for l in range(n)] for k in range(n)] for j in range(n)
     ])
     assert np.array_equal(oracle, loop)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_wootters_oracle_matches_index_array_reference(d):
+    assert np.array_equal(wootters_triple_oracle(d),
+                          wootters_triple_oracle_reference(d))
+
+
+def test_wootters_oracle_peak_memory():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        oracle = wootters_triple_oracle(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one int16 area array beside the result, no n^3 int64 temporaries
+    assert peak <= 1.5 * oracle.nbytes
 
 
 def test_affine_area_basics():

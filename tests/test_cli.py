@@ -201,6 +201,21 @@ def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
     assert doc["payload"]["message"] == "MemoryError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sic", "--d", "0"],
+    ["wootters", "--d", "0"],
+    ["random", "--d", "0", "--seed", "1"],
+    ["tensorhedron", "--n", "0"],
+], ids=["sic", "wootters", "random", "tensorhedron"])
+def test_construct_zero_size_is_not_missing(tmp_path, capsys, argv):
+    code, doc = run_json(
+        capsys, "construct", *argv, "--out", str(tmp_path / "x.json")
+    )
+    assert code == 2 and doc["status"] == "error"
+    message = doc["payload"]["message"]
+    assert re.search(r"\b[dn]=0\b", message) and "needs" not in message
+
+
 def test_construct_bad_dimension(tmp_path, capsys):
     code, doc = run_json(
         capsys, "construct", "sic", "--d", "7", "--out", str(tmp_path / "x.json")
@@ -300,6 +315,17 @@ def test_verify_collinear(tmp_path, capsys):
     assert code == 0
     names = [c["name"] for c in doc["payload"]["clauses"]]
     assert "pw_match[t=0.7]" in names and "pw_match[t=-0.7]" in names
+
+
+@pytest.mark.parametrize("t", [",,", " "], ids=["commas", "blank"])
+def test_verify_collinear_rejects_empty_t_list(tmp_path, capsys, t):
+    sic = tmp_path / "sic2.json"
+    write_basis(builtin_sic(2), sic)
+    code, doc = run_json(
+        capsys, "verify", "collinear", "--in", str(sic), "--t", t
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--t" in doc["payload"]["message"]
 
 
 def test_verify_collinear_fails_with_absurd_tol(tmp_path, capsys):
@@ -541,6 +567,58 @@ def test_represent_split_csv(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_represent_split_without_povm_needs_a_mic(tmp_path, capsys):
+    w3, mic = tmp_path / "w3.json", tmp_path / "mic.json"
+    write_basis(wootters_wigner(3), w3)
+    write_basis(random_unbiased_mic(3, 1), mic)
+    state = tmp_path / "mixed.json"
+    write_state(np.eye(3) / 3, state)
+    code, doc = run_json(
+        capsys, "represent", "--state", str(state), "--basis", str(w3),
+        "--mode", "split",
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--povm" in doc["payload"]["message"]
+    code, doc = run_json(
+        capsys, "represent", "--state", str(state), "--basis", str(mic),
+        "--mode", "split",
+    )
+    assert code == 0 and doc["status"] == "ok"
+
+
+def test_represent_validates_state_and_effects_once(tmp_path, capsys,
+                                                    monkeypatch):
+    from quasibasis.constructions import random_mic
+
+    mic, umic, povm = (tmp_path / f"{n}.json" for n in ("mic", "umic", "povm"))
+    write_basis(random_mic(3, 1), mic)
+    write_basis(random_unbiased_mic(3, 1), umic)
+    write_basis(random_unbiased_mic(3, 2), povm)
+    state = tmp_path / "mixed.json"
+    write_state(np.eye(3) / 3, state)
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    code, _ = run_json(
+        capsys, "represent", "--state", str(state), "--basis", str(mic),
+        "--mode", "quasi",
+    )
+    assert code == 0 and shapes == [(9, 9), (3, 3)]
+    shapes.clear()
+    code, _ = run_json(
+        capsys, "represent", "--state", str(state), "--basis", str(umic),
+        "--mode", "split", "--povm", str(povm),
+    )
+    assert code == 0
+    assert [s for s in shapes if len(s) == 3] == [(9, 3, 3)]
+    assert shapes.count((3, 3)) == 1
+
+
 def test_represent_dimension_mismatch(tmp_path, capsys):
     w3 = tmp_path / "w3.json"
     write_basis(wootters_wigner(3), w3)
@@ -613,6 +691,48 @@ def test_threads_env_var_is_honored(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert probe.stdout.strip() == "1"
+
+
+IMPORT_PROBE = """
+import json, sys
+loaded = lambda: "concurrent.futures" in sys.modules
+seen = {}
+import quasibasis
+from quasibasis import wigner
+from quasibasis.cli import main
+from quasibasis.constructions import random_mic
+seen["import"] = loaded()
+wigner.principal_wigner(random_mic(4, 1))
+seen["pw_d4"] = loaded()
+main(["pw", "--in", sys.argv[1], "--out", sys.argv[2]])
+seen["cli_pw_d4"] = loaded()
+wigner._concurrent = lambda n: True
+wigner.principal_wigner(random_mic(6, 1))
+seen["pw_d6_overlapped"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_overlapped_routes_load_concurrent_futures(tmp_path):
+    """The CLI's cold start never pays for the executor's import: only a
+    principal_wigner call that overlaps its routes loads it."""
+    import os, subprocess, sys
+    import quasibasis
+    from quasibasis.constructions import random_mic
+
+    basis = tmp_path / "mic4.json"
+    write_basis(random_mic(4, 2), basis)
+    src = os.path.dirname(os.path.dirname(quasibasis.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(basis),
+         str(tmp_path / "pw.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": False, "pw_d4": False, "cli_pw_d4": False,
+                    "pw_d6_overlapped": True}
 
 
 def test_verify_triple_on_generic_mic(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """principal_wigner's two routes, run inline or with the sqrt(Phi) check
-route on the worker thread: the same numbers, the same errors in the same
-order, and a forked child that starts its own worker."""
+route on the one-thread executor: the same numbers, the same errors in the
+same order, and a forked child that starts its own executor."""
 
 import multiprocessing
 import os
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,16 +22,17 @@ PATHS = {"inline": False, "concurrent": True}
 
 
 def force_path(monkeypatch, concurrent):
-    """Fix the gate and count the jobs handed to the worker."""
+    """Fix the gate and count the jobs handed to the executor."""
     submitted = []
-    real_submit = wigner._submit
+    real_check_pool = wigner._check_pool
 
-    def counting_submit(*args):
-        submitted.append(args[0])
-        return real_submit(*args)
+    class CountingPool:
+        def submit(self, func, *args):
+            submitted.append(func)
+            return real_check_pool().submit(func, *args)
 
     monkeypatch.setattr(wigner, "_concurrent", lambda n: concurrent)
-    monkeypatch.setattr(wigner, "_submit", counting_submit)
+    monkeypatch.setattr(wigner, "_check_pool", CountingPool)
     return submitted
 
 
@@ -63,7 +65,7 @@ def test_concurrent_path_is_bit_identical(monkeypatch, make):
     assert np.array_equal(inline.via_polar, concurrent.via_polar)
     assert np.array_equal(inline.via_sqrtphi, concurrent.via_sqrtphi)
     assert inline.cross_error == concurrent.cross_error
-    assert wigner._worker[0] == os.getpid()
+    assert isinstance(wigner._pool, ThreadPoolExecutor)
 
 
 def child_computes_pw():
@@ -78,12 +80,12 @@ def child_computes_pw():
 def test_forked_child_starts_its_own_worker(monkeypatch):
     force_path(monkeypatch, True)
     principal_wigner(MeasureBasis(np.array(random_mic(6, 2).elements)))
-    assert wigner._worker[0] == os.getpid()
+    assert isinstance(wigner._pool, ThreadPoolExecutor)
     child = multiprocessing.get_context("fork").Process(
         target=child_computes_pw)
     child.start()
     child.join(timeout=60)
-    if child.exitcode is None:  # waiting on the parent's worker: deadlock
+    if child.exitcode is None:  # waiting on the parent's executor: deadlock
         child.kill()
         child.join()
     assert child.exitcode == 0
@@ -95,7 +97,7 @@ def test_concurrent_callers_share_one_worker(monkeypatch):
     expected = [principal_wigner(MeasureBasis(raw)).via_sqrtphi
                 for raw in raws]
     force_path(monkeypatch, True)
-    monkeypatch.setattr(wigner, "_worker", None)  # the first use races
+    monkeypatch.setattr(wigner, "_pool", None)  # the first use races
     served_by = set()
     real_born_sqrt = wigner._born_sqrt
 
@@ -144,7 +146,7 @@ def test_check_route_error_propagates_unchanged(monkeypatch, concurrent):
     with pytest.raises(RuntimeError) as info:
         principal_wigner(MeasureBasis(raw))
     assert info.value is failure
-    # the worker survives a failed job
+    # the executor survives a failed job
     monkeypatch.setattr(wigner, "_born_sqrt", real_born_sqrt)
     assert principal_wigner(MeasureBasis(raw)).cross_error \
         <= wigner.CROSS_CHECK_TOL
