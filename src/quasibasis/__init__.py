@@ -73,16 +73,21 @@ from .representations import (  # noqa: E402
 from .analysis import (  # noqa: E402
     DiagnosticsReport,
     DistanceReport,
+    SuiteResult,
     TripleProducts,
     ceiling_negativity,
     ceiling_negativity_sampled,
     diagnostics,
     distance,
     distance_bounds,
-    distance_report,
     sic_bounds,
     sic_triple_relation_check,
     triple_products,
+    verify_collinear,
+    verify_negativity,
+    verify_theorem1,
+    verify_theorem2,
+    verify_triple,
     wootters_triple_oracle,
 )
 

@@ -1,5 +1,6 @@
 """Quantitative verification of the distance bounds, SIC extremality,
-ceiling negativity, triple products, and structural diagnostics.
+ceiling negativity, triple products, and structural diagnostics; the
+verify_* suites check each claim clause by clause.
 
 For an unbiased MIC E with frame-operator eigenvalues {lambda_k}, the
 squared Hilbert-Schmidt distance to any unbiased Wigner basis F satisfies
@@ -19,8 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, gram
-from .constructions import SIC_TOL, sic_gram_deviation, wh_displacement
+from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, born_matrix, gram
+from .constructions import (
+    SIC_TOL,
+    _is_prime,
+    collinear,
+    sic_gram_deviation,
+    wh_displacement,
+    wootters_wigner,
+)
 from .operators import _flat, _square
 from .wigner import _greedy_match, principal_wigner, shifted
 
@@ -30,6 +38,9 @@ EQUIANGULAR_TOL = 1e-8
 # Memory allowed to one triple-product tensor plus its E_j E_k stack,
 # 32 d^6 bytes for a basis: admits d <= 14.
 TRIPLE_BYTES_BUDGET = 2**28
+# Memory allowed to ceiling_negativity_sampled's kets and score matrix,
+# 16 d + 8 d^2 bytes per sample: 10 000 samples at d = 32 take 87 MB.
+_SAMPLE_BYTES_BUDGET = 2**28
 
 
 def distance(left: MeasureBasis, right: MeasureBasis) -> float:
@@ -42,15 +53,12 @@ def distance(left: MeasureBasis, right: MeasureBasis) -> float:
 
 @dataclass
 class DistanceReport:
-    """Distance bounds of an unbiased MIC, optionally with the distance to
-    a specific Wigner basis and its saturation flags."""
+    """Distance bounds of an unbiased MIC and its Gram spectrum:
+    distance(mic, F) lies between them for every unbiased Wigner basis F."""
 
     lower_bound: float
     upper_bound: float
     spectrum: np.ndarray  # frame-operator eigenvalues, ascending
-    distance: float | None = None
-    saturates_lower: bool = False
-    saturates_upper: bool = False
 
 
 def distance_bounds(mic: MeasureBasis) -> DistanceReport:
@@ -75,24 +83,6 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
     lower = float(np.sum((root - ref) ** 2))
     upper = float(np.sum((root + ref) ** 2) - 4.0 / d)
     return DistanceReport(lower_bound=lower, upper_bound=upper, spectrum=lam)
-
-
-def distance_report(mic: MeasureBasis,
-                    wigner_basis: MeasureBasis) -> DistanceReport:
-    """Distance of an unbiased MIC to an unbiased Wigner basis with the
-    bound values and saturation flags (within SATURATION_TOL) filled in."""
-    checks = wigner_basis._structure
-    if not (checks.is_wigner and checks.is_unbiased):
-        raise ValueError(
-            "distance report requires an unbiased Wigner basis "
-            f"(classification: {wigner_basis.classify().summary()})"
-        )
-    report = distance_bounds(mic)
-    dist = distance(mic, wigner_basis)
-    report.distance = dist
-    report.saturates_lower = abs(dist - report.lower_bound) <= SATURATION_TOL
-    report.saturates_upper = abs(dist - report.upper_bound) <= SATURATION_TOL
-    return report
 
 
 def sic_bounds(d: int) -> tuple[float, float]:
@@ -130,16 +120,20 @@ def ceiling_negativity_sampled(wigner_basis: MeasureBasis,
     to the eigenvector of the smallest eigenvalue of F_i. Matrix-vector
     products only, no eigensolver. The result is the negativity of a real
     state, less a rounding bound, so it never exceeds ceiling_negativity.
-    Raises ValueError if n_samples is below 1.
+    Raises ValueError if n_samples is below 1, or, before drawing anything,
+    if the kets and the score matrix would exceed a 2^28-byte budget.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     F = wigner_basis.elements
     d = wigner_basis.dim
+    nbytes = (16 * d + 8 * len(F)) * n_samples
+    if nbytes > _SAMPLE_BYTES_BUDGET:
+        raise ValueError(f"{n_samples} samples at d={d} need {nbytes} bytes, "
+                         f"over the {_SAMPLE_BYTES_BUDGET}-byte budget")
     rng = np.random.default_rng(seed)
-    kets = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal(
-        (n_samples, d)
-    )
+    kets = (rng.standard_normal((n_samples, d))
+            + 1j * rng.standard_normal((n_samples, d)))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     # w[s, i] = <psi_s| F_i |psi_s> = tr(F_i |psi_s><psi_s|), one real
     # matrix product per block of samples on the _flat views
@@ -325,3 +319,159 @@ def diagnostics(basis: MeasureBasis) -> DiagnosticsReport:
         rank_profile=_rank_profile(basis),
         wh_covariant=wh_covariant(basis),
     )
+
+
+def _clause(name: str, value: float, tolerance: float,
+            comparison: str = "abs<=") -> dict:
+    ok = {"abs<=": abs(value) <= tolerance, ">": value > tolerance,
+          ">=": value >= tolerance}[comparison]
+    return {"name": name, "pass": bool(ok), "value": float(value),
+            "tolerance": float(tolerance), "comparison": comparison}
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    """One verify suite's outcome: clause dicts of name, pass, value,
+    tolerance and comparison ("abs<=", ">" or ">="), and the suite's other
+    values in extras. In every suite tol=None keeps each clause's default
+    tolerance and a value replaces them all; the fixed margins (1e-6 in
+    non_sic_exceeds, 1e-12 in sampling_not_above_spectral) never move."""
+
+    suite: str
+    clauses: list[dict]
+    extras: dict
+
+    @property
+    def passed(self) -> bool:
+        return all(c["pass"] for c in self.clauses)
+
+
+def verify_theorem1(mic: MeasureBasis, *,
+                    tol: float | None = None) -> SuiteResult:
+    """Theorem 1 on an unbiased MIC: PW saturates the lower distance bound
+    and the shifted PW the upper one (default tol SATURATION_TOL), and
+    neither distance leaves the bounds by more than tol."""
+    tol = SATURATION_TOL if tol is None else tol
+    pw = principal_wigner(mic).basis
+    spw = shifted(pw)
+    report = distance_bounds(mic)
+    d_pw, d_spw = distance(mic, pw), distance(mic, spw)
+    lower, upper = report.lower_bound, report.upper_bound
+    return SuiteResult("theorem1", [
+        _clause("lower_saturation", d_pw - lower, tol),
+        _clause("upper_saturation", d_spw - upper, tol),
+        _clause("sandwich_lower", d_pw - lower, -tol, ">="),
+        _clause("sandwich_upper", upper - d_spw, -tol, ">="),
+    ], {"lower_bound": lower, "upper_bound": upper, "distance_pw": d_pw,
+        "distance_spw": d_spw, "spectrum": report.spectrum})
+
+
+def verify_theorem2(mic: MeasureBasis, *,
+                    tol: float | None = None) -> SuiteResult:
+    """Theorem 2 on an unbiased MIC: the distance to PW is at least the SIC
+    lower bound; a SIC (Gram deviation within SIC_TOL) saturates both SIC
+    bounds (default tol SATURATION_TOL), and a non-SIC exceeds the lower
+    one by more than 1e-6."""
+    tol = SATURATION_TOL if tol is None else tol
+    cls = mic.classify()
+    if not (cls.is_mic and cls.is_unbiased):
+        raise ValueError("theorem2 needs an unbiased MIC "
+                         f"(got: {cls.summary()})")
+    lower, upper = sic_bounds(mic.dim)
+    sic_dev = sic_gram_deviation(mic.elements)
+    is_sic = sic_dev <= SIC_TOL
+    pw = principal_wigner(mic).basis
+    d_pw = distance(mic, pw)
+    clauses = [_clause("bound_holds", d_pw - lower, -tol, ">=")]
+    if is_sic:
+        d_spw = distance(mic, shifted(pw))
+        clauses.append(_clause("sic_lower_saturation", d_pw - lower, tol))
+        clauses.append(_clause("sic_upper_saturation", d_spw - upper, tol))
+    else:
+        clauses.append(_clause("non_sic_exceeds", d_pw - lower, 1e-6, ">"))
+    return SuiteResult("theorem2", clauses, {
+        "sic_lower": lower, "sic_upper": upper, "is_sic": is_sic,
+        "sic_gram_deviation": sic_dev, "distance_pw": d_pw})
+
+
+def verify_collinear(basis: MeasureBasis, ts, *,
+                     tol: float | None = None) -> SuiteResult:
+    """For each t in ts, PW(L^t) is PW(L) if t > 0 and the shifted PW(L) if
+    t < 0 (default tol 1e-8); Phi(L^t) = Phi/t^2 + (1 - 1/t^2) a 1^T/d and
+    sqrt(Phi(L^t)) = sqrt(Phi)/|t| + (1 - 1/|t|) a 1^T/d, a the weights
+    (default tol 1e-9, times max(1, max |predicted entry|))."""
+    ts = list(ts)
+    if not ts:
+        raise ValueError("verify_collinear needs at least one t")
+    pw_tol, identity_tol = (1e-8, 1e-9) if tol is None else (tol, tol)
+    d, n = basis.dim, len(basis)
+    pw = principal_wigner(basis).basis
+    spw = shifted(pw)
+    born = born_matrix(basis)
+    AJ = np.outer(basis.weights, np.ones(n))
+    clauses = []
+    for t in ts:
+        if t == 0:
+            raise ValueError("t = 0 is excluded from the collinear family")
+        Lt = collinear(basis, t)
+        target = pw if t > 0 else spw
+        dev = np.max(np.abs(principal_wigner(Lt).basis.elements
+                            - target.elements))
+        clauses.append(_clause(f"pw_match[t={t:g}]", dev, pw_tol))
+        born_t = born_matrix(Lt)
+        pred = born.phi / t**2 + (1 - 1 / t**2) * AJ / d
+        pred_s = born.phi_sqrt / abs(t) + (1 - 1 / abs(t)) * AJ / d
+        # Relative to the predicted entries: Phi grows with the Gram
+        # condition, and its roundoff with it.
+        for name, got, want in (("phi_identity", born_t.phi, pred),
+                                ("sqrt_phi_identity", born_t.phi_sqrt, pred_s)):
+            clauses.append(_clause(
+                f"{name}[t={t:g}]", np.max(np.abs(got - want)),
+                identity_tol * max(1.0, float(np.max(np.abs(want)))),
+            ))
+    return SuiteResult("collinear", clauses, {})
+
+
+def verify_triple(basis: MeasureBasis, products: TripleProducts | None = None,
+                  *, tol: float | None = None) -> SuiteResult:
+    """Triple-product symmetries (default tol 1e-10) and sum rule (1e-9); on
+    a SIC, both SIC relations (1e-9); within 1e-8 of wootters_wigner(d), d an
+    odd prime, the affine-area oracle (1e-10). Gamma is products if given."""
+    trip = triple_products(basis) if products is None else products
+    tol, loose = (1e-10, 1e-9) if tol is None else (tol, tol)
+    clauses = [
+        _clause("cyclic_symmetry", trip.cyclic_residual(), tol),
+        _clause("conjugation_symmetry", trip.conjugation_residual(), tol),
+        _clause("sum_rule", trip.sum_rule_residual(basis), loose),
+    ]
+    d = basis.dim
+    extras: dict = {"dimension": d}
+    if sic_gram_deviation(basis.elements) <= SIC_TOL:
+        extras["is_sic"] = True
+        for sign, name in ((+1, "plus"), (-1, "minus")):
+            resid = sic_triple_relation_check(basis, sign)
+            clauses.append(_clause(f"sic_relation_{name}", resid, loose))
+    if d % 2 == 1 and _is_prime(d) and np.max(np.abs(
+            basis.elements - wootters_wigner(d).elements)) <= 1e-8:
+        extras["is_wootters"] = True
+        resid = max(np.max(np.abs(g - o))
+                    for g, o in zip(trip.gamma, wootters_triple_oracle(d)))
+        clauses.append(_clause("affine_area_match", resid, tol))
+    return SuiteResult("triple", clauses, extras)
+
+
+def verify_negativity(wigner_basis: MeasureBasis, *, samples: int = 10_000,
+                      seed: int = 0, tol: float | None = None) -> SuiteResult:
+    """The sampled ceiling negativity never exceeds the spectral value
+    (margin 1e-12) and comes within tol (default 1e-3) of it."""
+    if not wigner_basis.classify().is_wigner:
+        raise ValueError("negativity suite needs a Wigner basis")
+    value = ceiling_negativity(wigner_basis)
+    sampled = ceiling_negativity_sampled(wigner_basis, samples, seed)
+    gap = value - sampled
+    tol = 1e-3 if tol is None else tol
+    return SuiteResult("negativity", [
+        _clause("sampling_not_above_spectral", gap + 1e-12, 0.0, ">="),
+        _clause("sampling_consistency", gap, tol),
+    ], {"ceiling_negativity": value, "sampled": sampled, "samples": samples,
+        "seed": seed})

@@ -16,10 +16,8 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import analysis, constructions, representations, serialize
-from .bases import BasisValidationError, MeasureBasis, born_matrix
+from .bases import BasisValidationError, MeasureBasis
 from .wigner import principal_wigner, shifted
 
 USAGE_ERROR = 2
@@ -42,40 +40,13 @@ def _emit(status: str, payload, diagnostics) -> None:
     print(serialize.dumps_json(doc))
 
 
-def _clause(name: str, value: float, tolerance: float,
-            comparison: str = "abs<=") -> dict:
-    if comparison == "abs<=":
-        ok = abs(value) <= tolerance
-    elif comparison == ">":
-        ok = value > tolerance
-    elif comparison == ">=":
-        ok = value >= tolerance
-    else:
-        raise ValueError(comparison)
-    return {
-        "name": name,
-        "pass": bool(ok),
-        "value": float(value),
-        "tolerance": float(tolerance),
-        "comparison": comparison,
-    }
-
-
-def _tol(args, default: float) -> float:
-    """The --tol override if given, else the clause's default tolerance."""
-    return default if args.tol is None else args.tol
-
-
-def _finish_verify(suite: str, clauses: list[dict], extra: dict | None = None) -> int:
-    passed = all(c["pass"] for c in clauses)
-    payload = {"suite": suite, "passed": passed, "clauses": clauses}
-    if extra:
-        payload.update(extra)
-    diagnostics = [
-        {"name": c["name"], "value": c["value"]} for c in clauses
-    ]
-    _emit("ok" if passed else "error", payload, diagnostics)
-    return 0 if passed else VERIFY_ERROR
+def _finish_verify(result: analysis.SuiteResult, **extra) -> int:
+    payload = {"suite": result.suite, "passed": result.passed,
+               "clauses": result.clauses, **result.extras, **extra}
+    diagnostics = [{"name": c["name"], "value": c["value"]}
+                   for c in result.clauses]
+    _emit("ok" if result.passed else "error", payload, diagnostics)
+    return 0 if result.passed else VERIFY_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +58,7 @@ def _cmd_construct(args) -> int:
         if args.fiducial:
             basis = constructions.sic_from_fiducial(
                 serialize.read_fiducial(args.fiducial),
-                tol=_tol(args, constructions.SIC_TOL),
+                tol=constructions.SIC_TOL if args.tol is None else args.tol,
             )
         elif args.d is not None:
             basis = constructions.builtin_sic(args.d)
@@ -153,178 +124,36 @@ def _cmd_pw(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _verify_theorem1(args) -> int:
-    E = serialize.read_basis(args.infile)
-    tol = _tol(args, 1e-9)
-    pw = principal_wigner(E).basis
-    spw = shifted(pw)
-    report = analysis.distance_bounds(E)
-    d_pw = analysis.distance(E, pw)
-    d_spw = analysis.distance(E, spw)
-    clauses = [
-        _clause("lower_saturation", d_pw - report.lower_bound, tol),
-        _clause("upper_saturation", d_spw - report.upper_bound, tol),
-        _clause("sandwich_lower", d_pw - report.lower_bound, -tol, ">="),
-        _clause("sandwich_upper", report.upper_bound - d_spw, -tol, ">="),
-    ]
-    extra = {
-        "lower_bound": report.lower_bound,
-        "upper_bound": report.upper_bound,
-        "distance_pw": d_pw,
-        "distance_spw": d_spw,
-        "spectrum": report.spectrum,
-    }
-    return _finish_verify("theorem1", clauses, extra)
-
-
-def _verify_theorem2(args) -> int:
-    E = serialize.read_basis(args.infile)
-    tol = _tol(args, 1e-9)
-    cls = E.classify()
-    if not (cls.is_mic and cls.is_unbiased):
-        raise InputError(
-            f"theorem2 needs an unbiased MIC (got: {cls.summary()})"
-        )
-    d = E.dim
-    lower, upper = analysis.sic_bounds(d)
-    sic_dev = constructions.sic_gram_deviation(E.elements)
-    is_sic = sic_dev <= constructions.SIC_TOL
-    pw = principal_wigner(E).basis
-    d_pw = analysis.distance(E, pw)
-    clauses = [_clause("bound_holds", d_pw - lower, -tol, ">=")]
-    if is_sic:
-        d_spw = analysis.distance(E, shifted(pw))
-        clauses.append(_clause("sic_lower_saturation", d_pw - lower, tol))
-        clauses.append(_clause("sic_upper_saturation", d_spw - upper, tol))
-    else:
-        clauses.append(_clause("non_sic_exceeds", d_pw - lower, 1e-6, ">"))
-    extra = {
-        "sic_lower": lower,
-        "sic_upper": upper,
-        "is_sic": is_sic,
-        "sic_gram_deviation": sic_dev,
-        "distance_pw": d_pw,
-    }
-    return _finish_verify("theorem2", clauses, extra)
-
-
-def _verify_collinear(args) -> int:
-    L = serialize.read_basis(args.infile)
-    if not args.t:
-        raise InputError("verify collinear needs --t (comma-separated values)")
-    try:
-        ts = [float(x) for x in args.t.split(",") if x.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad --t list {args.t!r}") from exc
-    if not ts:
-        raise InputError(f"--t list {args.t!r} holds no values")
-    pw_tol = _tol(args, 1e-8)
-    # Relative to the predicted entries: Phi grows with the Gram condition,
-    # and its roundoff with it.
-    identity_tol = _tol(args, 1e-9)
-    d, n = L.dim, len(L)
-    pw = principal_wigner(L).basis
-    spw = shifted(pw)
-    born = born_matrix(L)
-    AJ = np.outer(L.weights, np.ones(n))
-    clauses = []
-    for t in ts:
-        if t == 0:
-            raise InputError("t = 0 is excluded from the collinear family")
-        Lt = constructions.collinear(L, t)
-        pw_t = principal_wigner(Lt).basis
-        target = pw if t > 0 else spw
-        dev = float(np.max(np.abs(pw_t.elements - target.elements)))
-        clauses.append(_clause(f"pw_match[t={t:g}]", dev, pw_tol))
-        born_t = born_matrix(Lt)
-        pred = born.phi / t**2 + (1 - 1 / t**2) * AJ / d
-        pred_s = born.phi_sqrt / abs(t) + (1 - 1 / abs(t)) * AJ / d
-        for name, got, want in (("phi_identity", born_t.phi, pred),
-                                ("sqrt_phi_identity", born_t.phi_sqrt, pred_s)):
-            clauses.append(_clause(
-                f"{name}[t={t:g}]", float(np.max(np.abs(got - want))),
-                identity_tol * max(1.0, float(np.max(np.abs(want)))),
-            ))
-    return _finish_verify("collinear", clauses)
-
-
-def _verify_triple(args) -> int:
-    F = serialize.read_basis(args.infile)
-    tol = _tol(args, 1e-10)
-    trip = analysis.triple_products(F)
-    clauses = [
-        _clause("cyclic_symmetry", trip.cyclic_residual(), tol),
-        _clause("conjugation_symmetry", trip.conjugation_residual(), tol),
-        _clause("sum_rule", trip.sum_rule_residual(F), _tol(args, 1e-9)),
-    ]
-    extra: dict = {"dimension": F.dim}
-    d = F.dim
-    if constructions.sic_gram_deviation(F.elements) <= constructions.SIC_TOL:
-        extra["is_sic"] = True
-        for sign, name in ((+1, "plus"), (-1, "minus")):
-            resid = analysis.sic_triple_relation_check(F, sign)
-            clauses.append(_clause(f"sic_relation_{name}", resid,
-                                   _tol(args, 1e-9)))
-    if d % 2 == 1 and constructions._is_prime(d):
-        wootters = constructions.wootters_wigner(d)
-        if float(np.max(np.abs(F.elements - wootters.elements))) <= 1e-8:
-            extra["is_wootters"] = True
-            oracle = analysis.wootters_triple_oracle(d)
-            clauses.append(_clause(
-                "affine_area_match",
-                max(float(np.max(np.abs(g - o)))
-                    for g, o in zip(trip.gamma, oracle)), tol,
-            ))
-    if args.gamma_csv:
-        _write_gamma_csv(trip.gamma, args.gamma_csv)
-        extra["gamma_csv"] = str(args.gamma_csv)
-    return _finish_verify("triple", clauses, extra)
-
-
-def _write_gamma_csv(gamma: np.ndarray, path) -> None:
-    """Rows j,k,l,re,im in the csv module's dialect, one % pass per j-slab."""
-    rows = np.empty(gamma.shape[1:] + (5,))  # indices ride as exact floats
-    rows[..., 1], rows[..., 2] = np.indices(gamma.shape[1:])
-    fmt = "%d,%d,%d,%.17g,%.17g\r\n" * gamma[0].size
-    with open(path, "w", newline="") as fh:
-        fh.write("j,k,l,re,im\r\n")
-        for j, slab in enumerate(gamma):
-            rows[..., 0], rows[..., 3], rows[..., 4] = j, slab.real, slab.imag
-            fh.write(fmt % tuple(rows.ravel().tolist()))
-
-
-def _verify_negativity(args) -> int:
-    if args.samples < 1:
+def _cmd_verify(args) -> int:
+    suite, extra = args.suite, {}
+    if suite == "negativity" and args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
-    F = serialize.read_basis(args.infile)
-    if not F.classify().is_wigner:
-        raise InputError("negativity suite needs a Wigner basis")
-    value = analysis.ceiling_negativity(F)
-    sampled = analysis.ceiling_negativity_sampled(
-        F, n_samples=args.samples, seed=args.seed
-    )
-    gap = value - sampled
-    tol = _tol(args, 1e-3)
-    clauses = [
-        _clause("sampling_not_above_spectral", gap + 1e-12, 0.0, ">="),
-        _clause("sampling_consistency", gap, tol),
-    ]
-    extra = {
-        "ceiling_negativity": value,
-        "sampled": sampled,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    return _finish_verify("negativity", clauses, extra)
-
-
-_VERIFY_SUITES = {
-    "theorem1": _verify_theorem1,
-    "theorem2": _verify_theorem2,
-    "collinear": _verify_collinear,
-    "triple": _verify_triple,
-    "negativity": _verify_negativity,
-}
+    basis = serialize.read_basis(args.infile)
+    if suite == "theorem1":
+        result = analysis.verify_theorem1(basis, tol=args.tol)
+    elif suite == "theorem2":
+        result = analysis.verify_theorem2(basis, tol=args.tol)
+    elif suite == "collinear":
+        if not args.t:
+            raise InputError(
+                "verify collinear needs --t (comma-separated values)")
+        try:
+            ts = [float(x) for x in args.t.split(",") if x.strip()]
+        except ValueError as exc:
+            raise InputError(f"bad --t list {args.t!r}") from exc
+        if not ts:
+            raise InputError(f"--t list {args.t!r} holds no values")
+        result = analysis.verify_collinear(basis, ts, tol=args.tol)
+    elif suite == "triple":
+        trip = analysis.triple_products(basis)
+        result = analysis.verify_triple(basis, trip, tol=args.tol)
+        if args.gamma_csv:
+            serialize._write_gamma_csv(trip.gamma, args.gamma_csv)
+            extra["gamma_csv"] = str(args.gamma_csv)
+    else:
+        result = analysis.verify_negativity(
+            basis, samples=args.samples, seed=args.seed, tol=args.tol)
+    return _finish_verify(result, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pw.set_defaults(func=_cmd_pw)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=sorted(_VERIFY_SUITES))
+    p_ver.add_argument("suite", choices=[
+        "collinear", "negativity", "theorem1", "theorem2", "triple"])
     p_ver.add_argument("--in", dest="infile", required=True)
     p_ver.add_argument("--t", help="comma-separated t values (collinear)")
     p_ver.add_argument("--tol", type=float, default=None,
@@ -425,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--gamma-csv", default=None,
                        help="write the triple-product tensor as CSV")
-    p_ver.set_defaults(func=lambda a: _VERIFY_SUITES[a.suite](a))
+    p_ver.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("represent", help="represent a state in a basis")
     p_rep.add_argument("--state", required=True)

@@ -97,9 +97,11 @@ def write_basis(basis: MeasureBasis, path) -> None:
 
 def _load_doc(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; too deep
+        raise SchemaError(f"{path}: unreadable JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")
     return doc
@@ -190,3 +192,15 @@ def write_state(rho, path) -> None:
     rho = _square(rho, 2, "state")
     doc = {"dimension": rho.shape[0], "matrix": _pairs(rho)}
     Path(path).write_text(dumps_json(doc) + "\n")
+
+
+def _write_gamma_csv(gamma: np.ndarray, path) -> None:
+    """Rows j,k,l,re,im in the csv module's dialect, one % pass per j-slab."""
+    rows = np.empty(gamma.shape[1:] + (5,))  # indices ride as exact floats
+    rows[..., 1], rows[..., 2] = np.indices(gamma.shape[1:])
+    fmt = "%d,%d,%d,%.17g,%.17g\r\n" * gamma[0].size
+    with open(path, "w", newline="") as fh:
+        fh.write("j,k,l,re,im\r\n")
+        for j, slab in enumerate(gamma):
+            rows[..., 0], rows[..., 3], rows[..., 4] = j, slab.real, slab.imag
+            fh.write(fmt % tuple(rows.ravel().tolist()))

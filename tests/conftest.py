@@ -181,7 +181,7 @@ def write_fiducial_reference(fiducial, path) -> None:
 
 
 def write_gamma_csv_reference(gamma, path) -> None:
-    """Loop reference for cli._write_gamma_csv: one csv.writer row per
+    """Loop reference for serialize._write_gamma_csv: one csv.writer row per
     entry of the triple-product tensor."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -195,13 +195,14 @@ def write_gamma_csv_reference(gamma, path) -> None:
 def use_reference_writers(monkeypatch) -> None:
     """Route every JSON and CSV writer the CLI calls to the loop
     references above."""
-    from quasibasis import cli, serialize
+    from quasibasis import serialize
 
     monkeypatch.setattr(serialize, "dumps_json", dumps_json_reference)
     monkeypatch.setattr(serialize, "write_basis", write_basis_reference)
     monkeypatch.setattr(serialize, "write_state", write_state_reference)
     monkeypatch.setattr(serialize, "write_fiducial", write_fiducial_reference)
-    monkeypatch.setattr(cli, "_write_gamma_csv", write_gamma_csv_reference)
+    monkeypatch.setattr(serialize, "_write_gamma_csv",
+                        write_gamma_csv_reference)
 
 
 @pytest.fixture

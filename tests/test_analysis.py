@@ -3,13 +3,13 @@ import pytest
 
 from quasibasis.analysis import (
     MATCH_TOL,
+    SATURATION_TOL,
     _triple_tensor,
     ceiling_negativity,
     ceiling_negativity_sampled,
     diagnostics,
     distance,
     distance_bounds,
-    distance_report,
     sic_bounds,
     sic_triple_relation_check,
     triple_products,
@@ -79,12 +79,18 @@ def test_distance_bounds_reject_biased():
 def test_bound_saturation_random_unbiased(d, seed):
     E = random_unbiased_mic(d, seed)
     pw = principal_wigner(E).basis
-    rep_low = distance_report(E, pw)
-    assert rep_low.saturates_lower and not rep_low.saturates_upper
-    assert rep_low.distance == pytest.approx(rep_low.lower_bound, abs=1e-9)
-    rep_high = distance_report(E, shifted(pw))
-    assert rep_high.saturates_upper and not rep_high.saturates_lower
-    assert rep_high.distance == pytest.approx(rep_high.upper_bound, abs=1e-9)
+    rep = distance_bounds(E)
+
+    def saturates(dist, bound):
+        return abs(dist - bound) <= SATURATION_TOL
+
+    low, high = distance(E, pw), distance(E, shifted(pw))
+    assert saturates(low, rep.lower_bound)
+    assert not saturates(low, rep.upper_bound)
+    assert low == pytest.approx(rep.lower_bound, abs=1e-9)
+    assert saturates(high, rep.upper_bound)
+    assert not saturates(high, rep.lower_bound)
+    assert high == pytest.approx(rep.upper_bound, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -92,8 +98,11 @@ def test_sandwich_property(d):
     for seed in range(10):
         E = random_unbiased_mic(d, seed)
         F = random_unbiased_wigner(d, seed + 100)
-        rep = distance_report(E, F)
-        assert rep.lower_bound - 1e-9 <= rep.distance <= rep.upper_bound + 1e-9
+        cls = F.classify()  # the bounds hold for unbiased Wigner bases
+        assert cls.is_wigner and cls.is_unbiased
+        rep = distance_bounds(E)
+        dist = distance(E, F)
+        assert rep.lower_bound - 1e-9 <= dist <= rep.upper_bound + 1e-9
 
 
 def test_sic_bounds_closed_forms():

@@ -11,11 +11,11 @@ PUBLIC_NAMES = {
     "BasisClass", "BasisValidationError", "BornMatrix", "DiagnosticsReport",
     "DistanceReport", "EquivalenceResult", "GaugeSplit", "MeasureBasis",
     "PWResult", "QuasiDistribution", "ReconstructedState", "SicOrbitError",
-    "TripleProducts",
+    "SuiteResult", "TripleProducts",
     "as_hermitian", "bias", "bias_matrix", "born_matrix", "builtin_sic",
     "ceiling_negativity", "ceiling_negativity_sampled", "collinear",
     "composite_wootters", "conditional_matrix", "coords_to_op",
-    "diagnostics", "distance", "distance_bounds", "distance_report",
+    "diagnostics", "distance", "distance_bounds",
     "dual_basis", "ebmc_apply", "frame_operator", "gauge_split", "gram",
     "herm_onb", "hs_inner", "lift", "mic_t_range",
     "op_to_coords", "principal_wigner", "probs_to_state", "random_mic",
@@ -23,7 +23,9 @@ PUBLIC_NAMES = {
     "rescaled_frame_operator", "shifted", "sic_bounds", "sic_from_fiducial",
     "sic_gram", "sic_triple_relation_check", "sqrt_born", "state_to_probs",
     "tensor_basis", "tensorhedron", "triple_products", "two_step_q",
-    "validate", "validate_povm", "validate_state", "wh_displacement",
+    "validate", "validate_povm", "validate_state", "verify_collinear",
+    "verify_negativity", "verify_theorem1", "verify_theorem2",
+    "verify_triple", "wh_displacement",
     "wigner_equivalent", "wootters_triple_oracle", "wootters_wigner",
 }
 
@@ -99,12 +101,8 @@ SIGNATURES = {
     "representations.gauge_split": ["effects", "basis", "rho"],
     "representations.ebmc_apply": ["basis", "X"],
     "analysis.distance": ["left", "right"],
-    "analysis.DistanceReport": [
-        "lower_bound", "upper_bound", "spectrum", "distance",
-        "saturates_lower", "saturates_upper"
-    ],
+    "analysis.DistanceReport": ["lower_bound", "upper_bound", "spectrum"],
     "analysis.distance_bounds": ["mic"],
-    "analysis.distance_report": ["mic", "wigner_basis"],
     "analysis.sic_bounds": ["d"],
     "analysis.ceiling_negativity": ["wigner_basis"],
     "analysis.ceiling_negativity_sampled": [
@@ -122,6 +120,12 @@ SIGNATURES = {
     ],
     "analysis.wh_covariant": ["basis"],
     "analysis.diagnostics": ["basis"],
+    "analysis.SuiteResult": ["suite", "clauses", "extras"],
+    "analysis.verify_theorem1": ["mic", "tol"],
+    "analysis.verify_theorem2": ["mic", "tol"],
+    "analysis.verify_collinear": ["basis", "ts", "tol"],
+    "analysis.verify_triple": ["basis", "products", "tol"],
+    "analysis.verify_negativity": ["wigner_basis", "samples", "seed", "tol"],
     "serialize.dumps_json": ["obj"],
     "serialize.basis_to_dict": ["basis"],
     "serialize.write_basis": ["basis", "path"],

@@ -366,12 +366,12 @@ def test_verify_collinear_catches_relative_phi_error(tmp_path, capsys,
                                                       monkeypatch):
     import dataclasses
 
-    import quasibasis.cli as cli
+    import quasibasis.analysis as analysis
 
     path = tmp_path / "umic4.json"
     write_basis(random_unbiased_mic(4, 4), path)
     calls = [0]
-    real_born_matrix = cli.born_matrix
+    real_born_matrix = analysis.born_matrix
 
     def perturbed(basis):
         born = real_born_matrix(basis)
@@ -380,7 +380,7 @@ def test_verify_collinear_catches_relative_phi_error(tmp_path, capsys,
             return born
         return dataclasses.replace(born, phi=born.phi * (1 + 1e-7))
 
-    monkeypatch.setattr(cli, "born_matrix", perturbed)
+    monkeypatch.setattr(analysis, "born_matrix", perturbed)
     code, doc = run_json(
         capsys, "verify", "collinear", "--in", str(path), "--t", "0.5,-0.5"
     )
@@ -805,3 +805,82 @@ def test_verify_triple_tol_reaches_every_clause(tmp_path, capsys):
     )
     tols = {c["name"]: c["tolerance"] for c in doc["payload"]["clauses"]}
     assert tols == dict.fromkeys(defaults, 1e-30)
+
+
+def _unreadable(path, kind):
+    """A file json.loads cannot read: a value nested 100000 deep, or bytes
+    that are not UTF-8."""
+    if kind == "deep":
+        path.write_text('{"dimension": 2, "elements": ' + "[" * 100_000
+                        + "]" * 100_000 + "}")
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+
+
+@pytest.mark.parametrize("kind", ["deep", "not_utf8"])
+@pytest.mark.parametrize("command", ["pw", "construct"])
+def test_unreadable_file_is_usage_error_naming_it(tmp_path, command, kind):
+    import os, subprocess, sys
+    import quasibasis
+
+    path = tmp_path / "bad.json"
+    _unreadable(path, kind)
+    out = str(tmp_path / "out.json")
+    argv = (["pw", "--in", str(path), "--out", out] if command == "pw" else
+            ["construct", "sic", "--fiducial", str(path), "--out", out])
+    src = os.path.dirname(os.path.dirname(quasibasis.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasibasis.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"].startswith(f"{path}: unreadable JSON")
+
+
+def test_verify_negativity_samples_over_budget_is_usage_error(tmp_path,
+                                                               capsys):
+    # 12 GB of kets and scores at d = 3: refused before anything is drawn
+    w3 = tmp_path / "w3.json"
+    write_basis(wootters_wigner(3), w3)
+    code, doc = run_json(capsys, "verify", "negativity", "--in", str(w3),
+                         "--samples", "100000000")
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["message"] == (
+        "100000000 samples at d=3 need 12000000000 bytes, over the "
+        "268435456-byte budget"
+    )
+
+
+def test_cli_only_reads_calls_and_prints():
+    """cli.py imports no numpy and keeps no clause arithmetic: every clause
+    is built by the suites in analysis."""
+    import ast
+    from pathlib import Path
+    import quasibasis.cli as cli
+
+    def offences(source):
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names
+                          if a.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found += [node.module] * (node.module.split(".")[0] == "numpy")
+            elif (isinstance(node, ast.FunctionDef)
+                  and ("clause" in node.name or node.name == "_tol")):
+                found.append(node.name)
+            elif isinstance(node, ast.Dict):
+                found += ["clause dict"] * any(
+                    isinstance(k, ast.Constant) and k.value == "pass"
+                    for k in node.keys)
+        return found
+
+    planted = ("import numpy as np\nfrom numpy.linalg import eigh\n"
+               "def _clause(name):\n    return {'name': name, 'pass': True}\n"
+               "def _tol(args, default):\n    return default\n")
+    assert sorted(offences(planted)) == ["_clause", "_tol", "clause dict",
+                                         "numpy", "numpy.linalg"]
+    assert offences(Path(cli.__file__).read_text()) == []
