@@ -24,8 +24,8 @@ from .bases import RANK_EIG_RTOL, MeasureBasis, _element_ranks, born_matrix, gra
 from .constructions import (
     SIC_TOL,
     _is_prime,
+    _sic_deviation,
     collinear,
-    sic_gram_deviation,
     wh_displacement,
     wootters_wigner,
 )
@@ -73,10 +73,9 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
             f"(classification: {cls.summary()})"
         )
     d = mic.dim
-    # The Gram spectrum (isospectral to the frame operator) from an
-    # eigvalsh of the Gram matrix (for a MIC, the one taken at
-    # construction), not from the Loewdin SVD that gives PW:
-    # lower_saturation then compares two independent computations.
+    # The Gram spectrum (isospectral to the frame operator; for a MIC, the
+    # eigvalsh taken at construction), not the Loewdin SVD that gives PW,
+    # so lower_saturation compares two independent computations.
     lam = mic._gram_spectrum.copy()
     root = np.sqrt(np.maximum(lam, 0.0))
     ref = np.sqrt(1.0 / d)
@@ -235,6 +234,23 @@ def wootters_triple_oracle(d: int) -> np.ndarray:
     return (np.exp(4j * np.pi * np.arange(d) / d) / d)[area]
 
 
+def _sic_relation_residual(F: MeasureBasis, gamma: np.ndarray,
+                           sign: int) -> float:
+    """sic_triple_relation_check's residual for the Wigner basis F; gamma,
+    the SIC's own Gamma, is subtracted slab by slab and left as is."""
+    d = F.dim
+    s = sign * np.sqrt(d + 1.0)
+    resid = _triple_tensor(F.elements)
+    resid *= d
+    for slab, g in zip(resid, gamma):
+        slab -= s**3 * d * g  # s^3 tr(Pi_j Pi_k Pi_l)
+    i = np.arange(d * d)
+    for diagonal in (np.s_[i, i, :], np.s_[:, i, i], np.s_[i, :, i]):
+        resid[diagonal] -= 1.0 - s
+    resid -= (s * (2.0 - d) - 2.0) / d**2
+    return float(max(np.max(np.abs(slab)) for slab in resid))
+
+
 def sic_triple_relation_check(sic: MeasureBasis, sign: int) -> float:
     """Max residual of the SIC triple-product relation
 
@@ -243,33 +259,19 @@ def sic_triple_relation_check(sic: MeasureBasis, sign: int) -> float:
 
     with s = +sqrt(d+1) and F the principal Wigner basis for sign=+1, and
     every occurrence of sqrt(d+1) negated (s = -sqrt(d+1), F the shifted
-    principal Wigner basis) for sign=-1. Raises ValueError unless the
-    input's Gram matrix is the SIC one within SIC_TOL.
+    principal Wigner basis) for sign=-1; Pi_j = d sic_j. Raises ValueError
+    unless the input's stored Gram matrix is the SIC one within SIC_TOL.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    d = sic.dim
-    dev = sic_gram_deviation(sic.elements)
+    dev = _sic_deviation(sic._structure.gram, sic.dim)
     if dev > SIC_TOL:
         raise ValueError(
             f"input is not a SIC (Gram deviation {dev:.3e} > {SIC_TOL:.1e})"
         )
     F = principal_wigner(sic).basis
-    if sign < 0:
-        F = shifted(F)
-    s = sign * np.sqrt(d + 1.0)
-    # lhs - rhs in place, the projector tensor dropped once subtracted
-    resid = _triple_tensor(F.elements)
-    resid *= d
-    tri = _triple_tensor(d * sic.elements)
-    tri *= s**3 / d**2
-    resid -= tri
-    del tri
-    i = np.arange(d * d)
-    for diagonal in (np.s_[i, i, :], np.s_[:, i, i], np.s_[i, :, i]):
-        resid[diagonal] -= 1.0 - s
-    resid -= (s * (2.0 - d) - 2.0) / d**2
-    return float(max(np.max(np.abs(slab)) for slab in resid))
+    return _sic_relation_residual(F if sign > 0 else shifted(F),
+                                  _triple_tensor(sic.elements), sign)
 
 
 @dataclass
@@ -287,13 +289,10 @@ def _rank_profile(basis: MeasureBasis,
 
 def wh_covariant(basis: MeasureBasis) -> bool:
     """Whether conjugation by every Weyl-Heisenberg displacement D(k, l)
-    permutes the basis elements (greedy matching within MATCH_TOL).
-
-    D(k, l) = X^k Z^l, so every displacement permutes the basis if and only
-    if the shift X = D(1, 0) and the clock Z = D(0, 1) do, and only those
-    two generators are checked. On a basis that is covariant only
-    approximately, a composite displacement can add up the generators'
-    errors beyond MATCH_TOL; this check does not see that.
+    permutes the basis elements (greedy matching within MATCH_TOL). As
+    D(k, l) = X^k Z^l, only the shift X = D(1, 0) and the clock Z = D(0, 1)
+    are checked; on a basis covariant only approximately, a composite
+    displacement can add up their errors beyond MATCH_TOL unseen.
     """
     d = basis.dim
     E = basis.elements
@@ -350,12 +349,12 @@ def verify_theorem1(mic: MeasureBasis, *,
                     tol: float | None = None) -> SuiteResult:
     """Theorem 1 on an unbiased MIC: PW saturates the lower distance bound
     and the shifted PW the upper one (default tol SATURATION_TOL), and
-    neither distance leaves the bounds by more than tol."""
+    neither distance leaves the bounds by more than tol. distance_bounds
+    rejects any other input first."""
+    report = distance_bounds(mic)
     tol = SATURATION_TOL if tol is None else tol
     pw = principal_wigner(mic).basis
-    spw = shifted(pw)
-    report = distance_bounds(mic)
-    d_pw, d_spw = distance(mic, pw), distance(mic, spw)
+    d_pw, d_spw = distance(mic, pw), distance(mic, shifted(pw))
     lower, upper = report.lower_bound, report.upper_bound
     return SuiteResult("theorem1", [
         _clause("lower_saturation", d_pw - lower, tol),
@@ -378,7 +377,7 @@ def verify_theorem2(mic: MeasureBasis, *,
         raise ValueError("theorem2 needs an unbiased MIC "
                          f"(got: {cls.summary()})")
     lower, upper = sic_bounds(mic.dim)
-    sic_dev = sic_gram_deviation(mic.elements)
+    sic_dev = _sic_deviation(mic._structure.gram, mic.dim)
     is_sic = sic_dev <= SIC_TOL
     pw = principal_wigner(mic).basis
     d_pw = distance(mic, pw)
@@ -399,10 +398,13 @@ def verify_collinear(basis: MeasureBasis, ts, *,
     """For each t in ts, PW(L^t) is PW(L) if t > 0 and the shifted PW(L) if
     t < 0 (default tol 1e-8); Phi(L^t) = Phi/t^2 + (1 - 1/t^2) a 1^T/d and
     sqrt(Phi(L^t)) = sqrt(Phi)/|t| + (1 - 1/|t|) a 1^T/d, a the weights
-    (default tol 1e-9, times max(1, max |predicted entry|))."""
+    (default tol 1e-9, times max(1, max |predicted entry|)). An empty ts
+    or a t = 0 anywhere in it raises ValueError before any work."""
     ts = list(ts)
     if not ts:
         raise ValueError("verify_collinear needs at least one t")
+    if 0 in ts:
+        raise ValueError("t = 0 is excluded from the collinear family")
     pw_tol, identity_tol = (1e-8, 1e-9) if tol is None else (tol, tol)
     d, n = basis.dim, len(basis)
     pw = principal_wigner(basis).basis
@@ -411,8 +413,6 @@ def verify_collinear(basis: MeasureBasis, ts, *,
     AJ = np.outer(basis.weights, np.ones(n))
     clauses = []
     for t in ts:
-        if t == 0:
-            raise ValueError("t = 0 is excluded from the collinear family")
         Lt = collinear(basis, t)
         target = pw if t > 0 else spw
         dev = np.max(np.abs(principal_wigner(Lt).basis.elements
@@ -435,8 +435,9 @@ def verify_collinear(basis: MeasureBasis, ts, *,
 def verify_triple(basis: MeasureBasis, products: TripleProducts | None = None,
                   *, tol: float | None = None) -> SuiteResult:
     """Triple-product symmetries (default tol 1e-10) and sum rule (1e-9); on
-    a SIC, both SIC relations (1e-9); within 1e-8 of wootters_wigner(d), d an
-    odd prime, the affine-area oracle (1e-10). Gamma is products if given."""
+    a SIC (stored Gram within SIC_TOL), both SIC relations on this Gamma
+    (1e-9); within 1e-8 of wootters_wigner(d), d an odd prime, the
+    affine-area oracle (1e-10). Gamma is products if given."""
     trip = triple_products(basis) if products is None else products
     tol, loose = (1e-10, 1e-9) if tol is None else (tol, tol)
     clauses = [
@@ -446,10 +447,11 @@ def verify_triple(basis: MeasureBasis, products: TripleProducts | None = None,
     ]
     d = basis.dim
     extras: dict = {"dimension": d}
-    if sic_gram_deviation(basis.elements) <= SIC_TOL:
+    if _sic_deviation(basis._structure.gram, d) <= SIC_TOL:
         extras["is_sic"] = True
-        for sign, name in ((+1, "plus"), (-1, "minus")):
-            resid = sic_triple_relation_check(basis, sign)
+        pw = principal_wigner(basis).basis
+        for F, sign, name in ((pw, +1, "plus"), (shifted(pw), -1, "minus")):
+            resid = _sic_relation_residual(F, trip.gamma, sign)
             clauses.append(_clause(f"sic_relation_{name}", resid, loose))
     if d % 2 == 1 and _is_prime(d) and np.max(np.abs(
             basis.elements - wootters_wigner(d).elements)) <= 1e-8:

@@ -77,10 +77,15 @@ def sic_gram(d: int) -> np.ndarray:
     return (d * np.eye(n) + np.ones((n, n))) / (d * d * (d + 1))
 
 
+def _sic_deviation(G: np.ndarray, d: int) -> float:
+    """max |G - sic_gram(d)| of a Gram matrix: the one SIC test."""
+    return float(np.max(np.abs(G - sic_gram(d))))
+
+
 def sic_gram_deviation(elements: np.ndarray) -> float:
     """Max entrywise deviation of a stack's Gram matrix from the SIC one."""
     elements = _square(elements, 3, "elements")
-    return float(np.max(np.abs(_gram_of(elements) - sic_gram(elements.shape[1]))))
+    return _sic_deviation(_gram_of(elements), elements.shape[1])
 
 
 def sic_from_fiducial(fiducial, tol: float = SIC_TOL) -> MeasureBasis:
@@ -130,22 +135,15 @@ def builtin_sic(d: int) -> MeasureBasis:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def prime_factors(n: int) -> list[int]:
-    factors = []
-    m = n
-    p = 2
-    while m > 1:
-        while m % p == 0:
+    factors, p = [], 2
+    while n > 1:
+        while n % p == 0:
             factors.append(p)
-            m //= p
+            n //= p
         p += 1
     return factors
 

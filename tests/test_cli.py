@@ -676,8 +676,10 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_threads_env_var_is_honored(tmp_path):
     import subprocess, sys, os
+    import quasibasis
 
-    env = dict(os.environ, QUASIBASIS_THREADS="1")
+    src = os.path.dirname(os.path.dirname(quasibasis.__file__))
+    env = dict(os.environ, QUASIBASIS_THREADS="1", PYTHONPATH=src)
     out = tmp_path / "sic.json"
     proc = subprocess.run(
         [sys.executable, "-m", "quasibasis.cli", "construct", "sic",

@@ -2,11 +2,14 @@
 `quasibasis verify` prints, and every suite can fail and reject input."""
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from quasibasis import (
     builtin_sic,
+    collinear,
     principal_wigner,
     random_mic,
     random_unbiased_mic,
@@ -91,16 +94,73 @@ def test_triple_reuses_the_given_products():
     assert "affine_area_match" in failed
 
 
+def test_triple_sic_relations_read_the_given_products():
+    sic = builtin_sic(2)
+    trip = triple_products(sic)
+    before = trip.gamma.copy()
+    assert verify_triple(sic, trip) == verify_triple(sic)
+    assert np.array_equal(trip.gamma, before)  # read, never written
+    trip.gamma[1, 2, 3] += 1e-6  # the relations check this same Gamma
+    failed = {c["name"] for c in verify_triple(sic, trip).clauses
+              if not c["pass"]}
+    assert {"sic_relation_plus", "sic_relation_minus"} <= failed
+
+
 @pytest.mark.parametrize("ts", [[], (), iter(())], ids=["list", "tuple", "iter"])
 def test_collinear_rejects_empty_ts(ts):
     with pytest.raises(ValueError, match="at least one t"):
         verify_collinear(builtin_sic(2), ts)
 
 
-def test_collinear_rejects_t_zero():
+def _count_calls(monkeypatch, module, names) -> Counter:
+    """Wrap each named function of module; the counter tallies the calls."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_collinear_rejects_t_zero(monkeypatch):
+    import quasibasis.analysis as analysis
+
+    calls = _count_calls(monkeypatch, analysis, (
+        "collinear", "principal_wigner", "shifted", "born_matrix"))
     with pytest.raises(ValueError,
                        match="t = 0 is excluded from the collinear family"):
         verify_collinear(builtin_sic(2), [0.5, 0.0])
+    assert not calls  # the zero is found before t = 0.5 costs anything
+
+
+def test_theorem1_rejects_a_biased_mic_before_pw(tmp_path, capsys):
+    # a biased MIC whose PW cross-check fails: the scope gate must answer
+    mic = collinear(random_mic(3, 1), 1e-3)
+    with pytest.raises(ValueError, match="^distance bounds require an "
+                                         "unbiased MIC"):
+        verify_theorem1(mic)
+    path = tmp_path / "biased.json"
+    write_basis(mic, path)
+    assert main(["verify", "theorem1", "--in", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["message"].startswith(
+        "distance bounds require an unbiased MIC")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_triple_on_a_sic_forms_each_tensor_once(monkeypatch, d):
+    import quasibasis.analysis as analysis
+    import quasibasis.constructions as constructions
+
+    sic = builtin_sic(d)
+    tensors = _count_calls(monkeypatch, analysis, ["_triple_tensor"])
+    grams = _count_calls(monkeypatch, constructions, ["_gram_of"])
+    result = verify_triple(sic)
+    assert result.passed and result.extras["is_sic"]
+    # Gamma of the SIC, of PW and of the shifted PW; the SIC test reads the
+    # stored Gram matrix, so it forms no Gram product
+    assert tensors["_triple_tensor"] == 3 and not grams
 
 
 def test_theorem2_rejects_a_biased_mic():
