@@ -25,9 +25,10 @@ from .constructions import (
     SIC_TOL,
     _is_prime,
     _sic_deviation,
+    _wh_orbit,
     collinear,
+    parity_operator,
     wh_displacement,
-    wootters_wigner,
 )
 from .operators import _flat, _square
 from .wigner import _greedy_match, principal_wigner, shifted
@@ -73,8 +74,9 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
             f"(classification: {cls.summary()})"
         )
     d = mic.dim
-    # The Gram spectrum (isospectral to the frame operator; for a MIC, the
-    # eigvalsh taken at construction), not the Loewdin SVD that gives PW,
+    # The Gram spectrum (isospectral to the frame operator; one eigvalsh
+    # of the stored Gram matrix, taken here on first use when construction
+    # proved independence without it), not the Loewdin SVD that gives PW,
     # so lower_saturation compares two independent computations.
     lam = mic._gram_spectrum.copy()
     root = np.sqrt(np.maximum(lam, 0.0))
@@ -437,7 +439,9 @@ def verify_triple(basis: MeasureBasis, products: TripleProducts | None = None,
     """Triple-product symmetries (default tol 1e-10) and sum rule (1e-9); on
     a SIC (stored Gram within SIC_TOL), both SIC relations on this Gamma
     (1e-9); within 1e-8 of wootters_wigner(d), d an odd prime, the
-    affine-area oracle (1e-10). Gamma is products if given."""
+    affine-area oracle (1e-10). That gate compares the elements with the
+    parity operator's Weyl-Heisenberg orbit, wootters_wigner(d)'s elements,
+    without building the basis. Gamma is products if given."""
     trip = triple_products(basis) if products is None else products
     tol, loose = (1e-10, 1e-9) if tol is None else (tol, tol)
     clauses = [
@@ -454,7 +458,7 @@ def verify_triple(basis: MeasureBasis, products: TripleProducts | None = None,
             resid = _sic_relation_residual(F, trip.gamma, sign)
             clauses.append(_clause(f"sic_relation_{name}", resid, loose))
     if d % 2 == 1 and _is_prime(d) and np.max(np.abs(
-            basis.elements - wootters_wigner(d).elements)) <= 1e-8:
+            basis.elements - _wh_orbit(parity_operator(d)))) <= 1e-8:
         extras["is_wootters"] = True
         resid = max(np.max(np.abs(g - o))
                     for g, o in zip(trip.gamma, wootters_triple_oracle(d)))

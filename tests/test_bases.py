@@ -106,11 +106,6 @@ CLASSIFY_CASES = {
 }
 
 
-# Wigner kinds whose Gram diagonal proves independence, so construction
-# takes no Gram spectrum
-CERTIFIED_KINDS = {"pw", "shifted_pw", "wootters", "unbiased_wigner"}
-
-
 def _eager_gram_condition(raw) -> float:
     """The Gram condition from a full eigvalsh, independently of the
     construction-time checks."""
@@ -124,8 +119,10 @@ def test_classify_on_demand_equals_eager_validate(kind):
         raw = np.array(basis.elements)
         fresh = MeasureBasis(raw)
         assert "_class" not in vars(fresh)  # nothing classified yet
-        certified = fresh._structure.gram_spectrum is None
-        assert certified == (kind in CERTIFIED_KINDS)
+        # every kind proves independence without a Gram spectrum: the
+        # Wigner kinds from their Gram diagonal, the others (condition at
+        # most 2.4e4) from one shifted Cholesky
+        assert fresh._structure.gram_spectrum is None
         # every field, failures, the float residuals and gram_condition
         assert fresh.classify() == validate(raw)
         assert validate(fresh) is fresh.classify()
@@ -198,6 +195,125 @@ def test_certificate_never_admits_what_eigvalsh_rejects(offdiag):
     # and a well-conditioned diagonal is certified
     assert bases._certified_independent(np.diag(np.geomspace(1, 1e-3, n)),
                                         0.0)
+
+
+def _rotated_gram(rng, spectrum) -> tuple[np.ndarray, float]:
+    """Q diag(spectrum) Q^T for a random orthogonal Q, with its largest
+    off-diagonal magnitude: a Gram matrix far from diagonal."""
+    n = len(spectrum)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    G = (Q * spectrum) @ Q.T
+    G = (G + G.T) / 2
+    return G, float(np.max(np.abs(G - np.diag(np.diag(G)))))
+
+
+@pytest.mark.parametrize("n", [4, 16, 144])
+def test_cholesky_certificate_never_admits_what_eigvalsh_rejects(n):
+    rng = np.random.default_rng(n)
+    certified = []
+    for kappa in np.geomspace(1e6, 1e13, 29):
+        G, max_offdiag = _rotated_gram(rng, np.geomspace(1.0, 1.0 / kappa, n))
+        assert max_offdiag > bases.VALIDATION_TOL  # only the Cholesky rule
+        certified_here = bases._certified_independent(G, max_offdiag)
+        # the shift lands on the diagonal whatever G's memory layout
+        assert bases._certified_independent(np.asfortranarray(G),
+                                            max_offdiag) == certified_here
+        if certified_here:
+            certified.append(kappa)
+            gvals = np.linalg.eigvalsh(G)
+            assert gvals[0] > 0
+            assert gvals[-1] / gvals[0] <= bases.MAX_GRAM_CONDITION
+    # the rule decides well past desk-scale conditions, not only easy ones
+    assert max(certified) >= 1e10
+    G, max_offdiag = _rotated_gram(rng, np.geomspace(1.0, 1e-3, n))
+    assert bases._certified_independent(G, max_offdiag)
+
+
+def _without_cholesky_rule(monkeypatch):
+    """Every Cholesky breaks down, so only the Gram diagonal or an eigvalsh
+    can decide independence."""
+    def breaks_down(a):
+        raise np.linalg.LinAlgError("Cholesky rule switched off")
+
+    monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
+
+
+def _collinear_sweep() -> list[np.ndarray]:
+    """The raw members collinear(random_unbiased_mic(d, s), t) of the
+    near-dependent sweep, d in {3, 4, 6, 8}, s = 1-8, six t each, built
+    with collinear's arithmetic so that members it rejects are kept."""
+    raws = []
+    for d in (3, 4, 6, 8):
+        for s in range(1, 9):
+            L = random_unbiased_mic(d, s)
+            for t in (1e-2, 3e-3, 1e-3, -1e-3, 3e-4, -3e-4):
+                raws.append(t * L.elements + ((1 - t) / d)
+                            * L.weights[:, None, None] * np.eye(d))
+    return raws
+
+
+def _decisions(raw):
+    """validate's report, and what construction gives: a classified
+    basis, or the BasisValidationError it raised."""
+    report = validate(raw)
+    try:
+        basis = MeasureBasis(raw)
+    except BasisValidationError as exc:
+        return report, exc
+    basis.classify()
+    return report, basis
+
+
+def test_cholesky_rule_flips_no_decision(monkeypatch):
+    raws = _collinear_sweep()
+    seeds = [(d, s) for d in range(2, 9) for s in range(1, 21)]
+    with_rule = [_decisions(raw) for raw in raws]
+    drawn = [(random_mic(d, s), random_unbiased_mic(d, s)) for d, s in seeds]
+    _without_cholesky_rule(monkeypatch)
+    for (report, on), raw in zip(with_rule, raws):
+        report_off, off = _decisions(raw)
+        assert report == report_off
+        assert type(on) is type(off)
+        if isinstance(on, MeasureBasis):
+            assert on.classify() == off.classify()
+            assert np.array_equal(on.elements, off.elements)
+            assert off._structure.gram_spectrum is not None  # eigvalsh decided
+        else:
+            assert on.failures == off.failures and str(on) == str(off)
+    # the sweep reaches near dependence, and the rule decides nearly all of
+    # it: 114 admitted members with condition in [1e9, 1e12)
+    near = [b for _, b in with_rule if isinstance(b, MeasureBasis)
+            and 1e9 <= b.classify().gram_condition < 1e12]
+    assert len(near) == 114
+    assert sum(b._structure.gram_spectrum is None for b in near) \
+        >= 0.9 * len(near)
+    # the builders redraw on a rejection, so equal draws mean that every
+    # decision along the way was equal
+    for (mic, umic), (d, s) in zip(drawn, seeds):
+        assert np.array_equal(mic.elements, random_mic(d, s).elements)
+        assert np.array_equal(umic.elements,
+                              random_unbiased_mic(d, s).elements)
+
+
+def test_mic_and_its_pw_factorize_once_each(monkeypatch):
+    raw = np.array(random_mic(6, 1).elements)
+    calls = []
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cond", "inv",
+                 "pinv", "solve", "lstsq", "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    principal_wigner(MeasureBasis(raw))
+    # n = 36, where the check route may run on PW's executor: the input's
+    # independence (shifted Cholesky), the Loewdin SVD and the check
+    # route's eigh; the output is certified by its Gram diagonal
+    assert sorted(calls) == ["cholesky", "eigh", "svd"]
 
 
 def test_mic_and_wigner_guard_runs_at_construction(monkeypatch):

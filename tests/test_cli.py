@@ -608,7 +608,9 @@ def test_represent_validates_state_and_effects_once(tmp_path, capsys,
         capsys, "represent", "--state", str(state), "--basis", str(mic),
         "--mode", "quasi",
     )
-    assert code == 0 and shapes == [(9, 9), (3, 3)]
+    # the basis proves its independence by a Cholesky, not a Gram
+    # spectrum, so the one eigvalsh is the state's
+    assert code == 0 and shapes == [(3, 3)]
     shapes.clear()
     code, _ = run_json(
         capsys, "represent", "--state", str(state), "--basis", str(umic),

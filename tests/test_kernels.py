@@ -296,13 +296,14 @@ def test_inverse_maps_reuse_the_cached_factorizations(monkeypatch):
     assert calls == ["eigvalsh"]  # of the output, for is_state
     assert rec.is_state
 
-    # lift factorizes only to validate its output, as any new basis does
+    # lift factorizes only to validate its output, as any new basis does:
+    # one shifted Cholesky of its Gram proves independence
     calls.clear()
     out = lift(F, L)
     lifted = list(calls)
     calls.clear()
     MeasureBasis(out.elements)
-    assert lifted == calls == ["eigvalsh"]
+    assert lifted == calls == ["cholesky"]
 
     # an uncached basis takes the one Loewdin SVD, then reuses it; a raw
     # stack takes one SVD of its coordinates

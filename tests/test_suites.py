@@ -163,6 +163,19 @@ def test_triple_on_a_sic_forms_each_tensor_once(monkeypatch, d):
     assert tensors["_triple_tensor"] == 3 and not grams
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_triple_wootters_gate_builds_no_basis(monkeypatch, d):
+    import quasibasis.bases as bases
+
+    w = wootters_wigner(d)
+    checks = _count_calls(monkeypatch, bases, ["_structure"])
+    result = verify_triple(w)
+    assert result.passed and result.extras["is_wootters"]
+    # the gate compares the elements with the parity operator's orbit and
+    # validates no new basis
+    assert not checks
+
+
 def test_theorem2_rejects_a_biased_mic():
     mic = random_mic(2, 9)
     with pytest.raises(ValueError) as info:

@@ -147,9 +147,10 @@ def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
                             counting(name, getattr(np.linalg, name)))
 
     L = MeasureBasis(raw)
-    # one check, whose only factorization is the eigvalsh of the (n, n) Gram
+    # one check, whose only factorization is the shifted Cholesky of the
+    # (n, n) Gram that proves independence
     assert checks == [1]
-    assert calls == [("eigvalsh", True, 2)]
+    assert calls == [("cholesky", True, 2)]
     calls.clear()
     res = principal_wigner(L)
     # one SVD (polar route) and one eigh (sqrt(Phi) route), plus the single
