@@ -8,14 +8,20 @@ refinements everything else in the package revolves around.
 
 The three invariants, the Wigner property and unbiasedness are statements
 about the bias and the Gram matrix, so MeasureBasis checks them at
-construction from one Gram matrix, and keeps it. Linear independence is
-proven without an eigendecomposition where it can be: from the diagonal
-(Gershgorin) for a Wigner basis, whose Gram matrix is diagonal up to
-roundoff, and otherwise from one Cholesky factorization of the Gram matrix
-less a small shift. Only a candidate that both leave undecided takes one
-eigvalsh of the Gram matrix. The Gram spectrum and exact condition, when
-construction did not need them, and the element spectra that the MIC and
-rank-1 refinements need, are computed on first use and cached.
+construction from one Gram matrix, and keeps it. The constructor first
+symmetrizes its input with as_hermitian. The bases that the library builds
+from stacks exactly Hermitian by construction (principal_wigner's output,
+lift, collinear and so shifted) take MeasureBasis._from_hermitian instead:
+as_hermitian's finite-norm gate and every structural check, but no
+symmetrization, which would return those stacks unchanged. Linear
+independence is proven without an eigendecomposition where it can be:
+from the diagonal (Gershgorin) for a Wigner basis, whose Gram matrix is
+diagonal up to roundoff, and otherwise from one Cholesky factorization of
+the Gram matrix less a small shift. Only a candidate that both leave
+undecided takes one eigvalsh of the Gram matrix. The Gram spectrum and
+exact condition, when construction did not need them, and the element
+spectra that the MIC and rank-1 refinements need, are computed on first
+use and cached.
 
 Every inverse map reads the SVD A^{-1/2} C = U Sigma V^T (C the herm_onb
 coordinates, A = diag(weights)) that MeasureBasis._lowdin caches:
@@ -39,6 +45,7 @@ import numpy as np
 
 from .operators import (
     SingularOperatorError,
+    _finite_norms,
     _flat,
     _square,
     as_hermitian,
@@ -113,8 +120,8 @@ def _failure_summary(failures: dict[str, float]) -> str:
 
 
 def _element_stack(candidate) -> np.ndarray:
-    """The symmetrized (d^2, d, d) element stack of a candidate basis;
-    raises on a malformed shape."""
+    """The (d^2, d, d) complex element stack of a candidate basis, not yet
+    symmetrized; raises on a malformed shape."""
     elements = _square(candidate, 3, "elements")
     d = elements.shape[1]
     if d < 2:
@@ -123,16 +130,18 @@ def _element_stack(candidate) -> np.ndarray:
         raise BasisValidationError(
             f"expected {d * d} elements for d={d}, got {elements.shape[0]}"
         )
-    return as_hermitian(elements)
+    return elements
 
 
 class MeasureBasis:
     """Validated, immutable ordered basis of d^2 Hermitian operators.
 
-    Construction symmetrizes the elements, then checks the three defining
-    invariants (sum to identity, nonnegative traces, linear independence)
-    from the Gram matrix, and raises BasisValidationError, with the broken
-    invariants in its ``failures``, on any violation. The Gram matrix and
+    Construction symmetrizes the elements (a library-built stack that is
+    exactly Hermitian skips only that pass, see _from_hermitian), then
+    checks the three defining invariants (sum to identity, nonnegative
+    traces, linear independence) from the Gram matrix, and raises
+    BasisValidationError, with the broken invariants in its ``failures``,
+    on any violation. The Gram matrix and
     the Wigner and unbiased flags are kept. Independence is proven from the
     Gram diagonal or one shifted Cholesky where they can (see
     _certified_independent), so the Gram spectrum is kept only when an
@@ -142,7 +151,26 @@ class MeasureBasis:
     """
 
     def __init__(self, elements, label: str = ""):
+        self._admit(as_hermitian(_element_stack(elements)), label)
+
+    @classmethod
+    def _from_hermitian(cls, elements: np.ndarray,
+                        label: str = "") -> MeasureBasis:
+        """The basis of a stack the library built exactly Hermitian, entry
+        (k, j) of each element the conjugate of entry (j, k) bit for bit:
+        PW's polar output, a lift, a collinear or shifted member. Every
+        check of the constructor runs except the symmetrization, which
+        would return such a stack unchanged. Takes ownership of the stack
+        and makes it read-only."""
         elements = _element_stack(elements)
+        _finite_norms(elements)
+        basis = cls.__new__(cls)
+        basis._admit(elements, label)
+        return basis
+
+    def _admit(self, elements: np.ndarray, label: str) -> None:
+        """Check a Hermitian element stack and keep it, read-only, with
+        what the checks decided; raises BasisValidationError."""
         elements.setflags(write=False)
         self.dim = elements.shape[1]
         self.elements = elements
@@ -226,10 +254,11 @@ class MeasureBasis:
 
 
 def _gram_of(elements: np.ndarray) -> np.ndarray:
-    """G_ab = tr(E_a E_b) of a Hermitian stack, as X X^T with X = _flat(E)."""
+    """G_ab = tr(E_a E_b) of a Hermitian stack, as X X^T with X = _flat(E).
+    Exactly symmetric with no (G + G^T) / 2 pass: numpy forms X X^T as a
+    symmetric rank-k update of one triangle and mirrors it."""
     X = _flat(elements)
-    G = X @ X.T
-    return (G + G.T) / 2
+    return X @ X.T
 
 
 def _guarded_svd(X: np.ndarray,
@@ -298,10 +327,22 @@ def _gram_condition(gvals: np.ndarray) -> float:
     return float(gvals[-1] / gvals[0])
 
 
-def _certified_independent(G: np.ndarray, max_offdiag: float) -> bool:
+def _offdiagonal(G: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest off-diagonal magnitude of a square G, and |G| with its
+    diagonal zeroed (a new array)."""
+    absG = np.abs(G)
+    absG.flat[::G.shape[0] + 1] = 0.0
+    return float(absG.max()), absG
+
+
+def _certified_independent(G: np.ndarray, max_offdiag: float,
+                           offdiag: np.ndarray) -> bool:
     """Whether a Gram matrix G (n x n, off-diagonal entries at most
     max_offdiag) provably has a condition within MAX_GRAM_CONDITION that
-    eigvalsh would also find; False means undecided.
+    eigvalsh would also find; False means undecided. ``offdiag`` is |G|
+    with its diagonal zeroed, as _offdiagonal returns it; the Cholesky rule
+    restores its diagonal for the row sums and then factorizes in it, so it
+    is overwritten.
 
     Both rules allow for eigvalsh's rounding: its eigenvalues lie within
     r = 4 n eps top of the exact ones, top being an upper bound on
@@ -342,7 +383,8 @@ def _certified_independent(G: np.ndarray, max_offdiag: float) -> bool:
         low = float(diag.min()) - radius
         if low > 0 and top + radius <= MAX_GRAM_CONDITION * low:
             return True
-    shifted = np.abs(G)
+    shifted = offdiag  # |G| once its diagonal is back, later G - tau I
+    shifted.flat[::n + 1] = np.abs(diag)
     top = float(shifted.sum(axis=1).max())
     if not math.isfinite(top):
         return False
@@ -359,7 +401,7 @@ def _certified_independent(G: np.ndarray, max_offdiag: float) -> bool:
 
 
 def _structure(elements: np.ndarray) -> _Structure:
-    """The structural checks of a symmetrized element stack at
+    """The structural checks of a Hermitian element stack at
     VALIDATION_TOL, from one Gram matrix. Linear independence comes from
     _certified_independent when it holds: from the Gram diagonal for any
     well-conditioned Wigner basis, and from one shifted Cholesky for any
@@ -379,9 +421,9 @@ def _structure(elements: np.ndarray) -> _Structure:
         failures["nonnegative_traces"] = min_weight
 
     G = _gram_of(elements)
-    max_offdiag = float(np.max(np.abs(G - np.diag(np.diag(G)))))
+    max_offdiag, offdiag = _offdiagonal(G)
     gvals = None
-    if not _certified_independent(G, max_offdiag):
+    if not _certified_independent(G, max_offdiag, offdiag):
         gvals = np.linalg.eigvalsh(G)
         condition = _gram_condition(gvals)
         if not np.isfinite(condition) or condition > MAX_GRAM_CONDITION:
@@ -412,7 +454,7 @@ def _certainly_not_mic(checks: _Structure, d: int) -> bool:
     tau = VALIDATION_TOL
     bound = (checks.weights + d * tau) ** 2 + d * tau**2
     rounding = 1.0 + 4 * checks.gram.shape[0] * np.finfo(float).eps
-    return bool(np.any(np.diag(checks.gram) > bound * rounding))
+    return bool(np.any(checks.gram.diagonal() > bound * rounding))
 
 
 def _guard_mic_and_wigner(checks: _Structure, eigs: np.ndarray) -> bool:
@@ -457,7 +499,7 @@ def validate(candidate) -> BasisClass:
     """
     if isinstance(candidate, MeasureBasis):
         return candidate.classify()
-    elements = _element_stack(candidate)
+    elements = as_hermitian(_element_stack(candidate))
     checks = _structure(elements)
     return _classified(checks, np.linalg.eigvalsh(elements),
                        _gram_spectrum_of(checks))

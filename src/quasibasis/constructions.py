@@ -235,7 +235,10 @@ def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
         (1 - t) / d
     ) * basis.weights[:, None, None] * eye
     try:
-        return MeasureBasis(elements, label=f"{basis.label} ^ t={t:g}")
+        # a real combination of an exactly Hermitian stack and a real
+        # diagonal, so exactly Hermitian
+        return MeasureBasis._from_hermitian(elements,
+                                            label=f"{basis.label} ^ t={t:g}")
     except BasisValidationError as exc:
         raise BasisValidationError(f"collinear member at t={t:g} is {exc}",
                                    exc.failures) from exc

@@ -72,15 +72,7 @@ def as_hermitian(A) -> np.ndarray:
     """
     A = _square(A, None, "operator")
     where = " (element {})" if A.ndim == 3 else ""
-    # Frobenius norms as row norms of the real views
-    a = _flat(A)
-    norm = np.sqrt(np.einsum("...i,...i->...", a, a))
-    finite = np.isfinite(norm)
-    if not finite.all():
-        raise ValueError(
-            "non-finite Frobenius norm" + where.format(np.argmin(finite))
-            + ": a NaN or inf entry, or entries too large to square"
-        )
+    norm = _finite_norms(A)
     # (A^dag + A) * 0.5 in one C-contiguous buffer: equal to (A + A^dag) / 2
     herm = np.conjugate(np.swapaxes(A, -1, -2), out=np.empty(A.shape, complex))
     herm += A
@@ -95,6 +87,23 @@ def as_hermitian(A) -> np.ndarray:
             f"norm {scale.flat[i]:.3e}" + where.format(i)
         )
     return herm
+
+
+def _finite_norms(A: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a complex (d, d) matrix, or of each matrix of an
+    (n, d, d) stack, as row norms of the real views. Raises ValueError
+    naming the first matrix whose norm is not finite (a NaN or inf entry,
+    or entries too large to square), before any factorization sees it."""
+    a = _flat(A)
+    norm = np.sqrt(np.einsum("...i,...i->...", a, a))
+    finite = np.isfinite(norm)
+    if not finite.all():
+        where = f" (element {np.argmin(finite)})" if A.ndim == 3 else ""
+        raise ValueError(
+            "non-finite Frobenius norm" + where
+            + ": a NaN or inf entry, or entries too large to square"
+        )
+    return norm
 
 
 def hs_inner(A, B) -> float:
@@ -159,7 +168,14 @@ def op_to_coords(A) -> np.ndarray:
 
 
 def coords_to_op(v, d: int) -> np.ndarray:
-    """Inverse of op_to_coords, for one coordinate vector or rows of them."""
+    """Inverse of op_to_coords, for one coordinate vector or rows of them.
+
+    The output is exactly Hermitian, entry (k, j) the conjugate of entry
+    (j, k) bit for bit: in the one real product v _flat(herm_onb(d)), the
+    columns of entries (j, k) and (k, j) are equal in their real parts and
+    opposite in their imaginary parts, and the product treats equal
+    columns alike.
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got shape {v.shape}")

@@ -211,7 +211,7 @@ def gauge_split(effects, basis: MeasureBasis, rho) -> GaugeSplit:
     left = conditional_matrix(D, basis) @ phi_sqrt
     q_direct = _born(D, rho)
     resid = float(np.max(np.abs(left @ right.values - q_direct)))
-    if resid > STATE_TOL:
+    if not resid <= STATE_TOL:  # a NaN fails
         raise ArithmeticError(
             f"gauge split failed to reconstruct the Born probabilities "
             f"(residual {resid:.3e})"

@@ -71,7 +71,8 @@ class PWResult:
 
     ``basis`` is the validated Wigner basis; ``via_polar`` and
     ``via_sqrtphi`` are the raw element stacks from the two routes
-    (read-only), and ``cross_error`` their max elementwise deviation.
+    (read-only; ``via_polar`` is the stack ``basis`` holds), and
+    ``cross_error`` their max elementwise deviation.
     ``orthogonality_residual`` is the largest off-diagonal magnitude of the
     output's Gram matrix and ``bias_deviation`` the largest change of a
     weight; the output check holds both to VALIDATION_TOL. The input basis
@@ -180,13 +181,14 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     via_sqrtphi = _sqrtphi_route(*check) if job is None else job.result()
 
     cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
-    if cross_error > CROSS_CHECK_TOL:
+    if not cross_error <= CROSS_CHECK_TOL:  # a NaN fails
         raise ArithmeticError(
             f"principal-Wigner routes disagree: cross error {cross_error:.3e} "
             f"> {CROSS_CHECK_TOL:.1e}"
         )
 
-    out = MeasureBasis(via_polar, label=f"PW({basis.label})")
+    # exactly Hermitian, as coords_to_op writes it: nothing to symmetrize
+    out = MeasureBasis._from_hermitian(via_polar, label=f"PW({basis.label})")
     if not out._structure.is_wigner:
         cls = out.classify()
         raise ArithmeticError(
@@ -195,9 +197,8 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
             f"failures {cls.failures})"
         )
     bias_dev = float(np.max(np.abs(out.weights - basis.weights)))
-    if bias_dev > VALIDATION_TOL:
+    if not bias_dev <= VALIDATION_TOL:  # a NaN fails
         raise ArithmeticError(f"bias not preserved (deviation {bias_dev:.3e})")
-    via_polar.setflags(write=False)
     via_sqrtphi.setflags(write=False)
     result = PWResult(
         basis=out,
@@ -307,7 +308,7 @@ def lift(wigner_basis: MeasureBasis, reference: MeasureBasis) -> MeasureBasis:
     _square(reference.elements, 3, "reference basis", wigner_basis.dim)
     _, s, Vt = reference._lowdin
     coords = wigner_basis.coords @ ((Vt.T * s) @ Vt)  # S_L^{1/2} = V Sigma V^T
-    return MeasureBasis(
+    return MeasureBasis._from_hermitian(
         coords_to_op(coords, reference.dim),
         label=f"lift({wigner_basis.label}; {reference.label})",
     )

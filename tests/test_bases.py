@@ -160,9 +160,9 @@ def test_uncertified_diagonal_gram_is_decided_by_eigvalsh(kappa):
     # MAX_GRAM_CONDITION for the certificate's rounding margin
     raw = _diagonal_gram_candidate(_weights_with_condition(kappa))
     G = bases._gram_of(as_hermitian(raw))
-    max_offdiag = np.max(np.abs(G - np.diag(np.diag(G))))
+    max_offdiag, offdiag = bases._offdiagonal(G)
     assert max_offdiag <= bases.VALIDATION_TOL
-    assert not bases._certified_independent(G, max_offdiag)
+    assert not bases._certified_independent(G, max_offdiag, offdiag)
     report = validate(raw)
     assert report.gram_condition == pytest.approx(kappa, rel=1e-6)
     if kappa > bases.MAX_GRAM_CONDITION:
@@ -187,24 +187,22 @@ def test_certificate_never_admits_what_eigvalsh_rejects(offdiag):
         diag = np.geomspace(1.0, 1.0 / kappa, n)
         noise = rng.uniform(-offdiag, offdiag, (n, n))
         G = np.diag(diag) + (noise + noise.T) / 2 * (1 - np.eye(n))
-        max_offdiag = float(np.max(np.abs(G - np.diag(np.diag(G)))))
-        if bases._certified_independent(G, max_offdiag):
+        if bases._certified_independent(G, *bases._offdiagonal(G)):
             gvals = np.linalg.eigvalsh(G)
             assert gvals[0] > 0
             assert gvals[-1] / gvals[0] <= bases.MAX_GRAM_CONDITION
     # and a well-conditioned diagonal is certified
-    assert bases._certified_independent(np.diag(np.geomspace(1, 1e-3, n)),
-                                        0.0)
+    G = np.diag(np.geomspace(1, 1e-3, n))
+    assert bases._certified_independent(G, *bases._offdiagonal(G))
 
 
-def _rotated_gram(rng, spectrum) -> tuple[np.ndarray, float]:
-    """Q diag(spectrum) Q^T for a random orthogonal Q, with its largest
-    off-diagonal magnitude: a Gram matrix far from diagonal."""
+def _rotated_gram(rng, spectrum) -> np.ndarray:
+    """Q diag(spectrum) Q^T for a random orthogonal Q: a Gram matrix far
+    from diagonal."""
     n = len(spectrum)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     G = (Q * spectrum) @ Q.T
-    G = (G + G.T) / 2
-    return G, float(np.max(np.abs(G - np.diag(np.diag(G)))))
+    return (G + G.T) / 2
 
 
 @pytest.mark.parametrize("n", [4, 16, 144])
@@ -212,12 +210,14 @@ def test_cholesky_certificate_never_admits_what_eigvalsh_rejects(n):
     rng = np.random.default_rng(n)
     certified = []
     for kappa in np.geomspace(1e6, 1e13, 29):
-        G, max_offdiag = _rotated_gram(rng, np.geomspace(1.0, 1.0 / kappa, n))
+        G = _rotated_gram(rng, np.geomspace(1.0, 1.0 / kappa, n))
+        max_offdiag, offdiag = bases._offdiagonal(G)
         assert max_offdiag > bases.VALIDATION_TOL  # only the Cholesky rule
-        certified_here = bases._certified_independent(G, max_offdiag)
+        certified_here = bases._certified_independent(G, max_offdiag, offdiag)
         # the shift lands on the diagonal whatever G's memory layout
-        assert bases._certified_independent(np.asfortranarray(G),
-                                            max_offdiag) == certified_here
+        F = np.asfortranarray(G)
+        assert bases._certified_independent(
+            F, *bases._offdiagonal(F)) == certified_here
         if certified_here:
             certified.append(kappa)
             gvals = np.linalg.eigvalsh(G)
@@ -225,8 +225,8 @@ def test_cholesky_certificate_never_admits_what_eigvalsh_rejects(n):
             assert gvals[-1] / gvals[0] <= bases.MAX_GRAM_CONDITION
     # the rule decides well past desk-scale conditions, not only easy ones
     assert max(certified) >= 1e10
-    G, max_offdiag = _rotated_gram(rng, np.geomspace(1.0, 1e-3, n))
-    assert bases._certified_independent(G, max_offdiag)
+    G = _rotated_gram(rng, np.geomspace(1.0, 1e-3, n))
+    assert bases._certified_independent(G, *bases._offdiagonal(G))
 
 
 def _without_cholesky_rule(monkeypatch):

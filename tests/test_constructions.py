@@ -169,9 +169,15 @@ def test_collinear_non_finite_t_rejected(t):
 
 
 def test_collinear_overflowing_t_rejected():
-    # finite entries whose squares overflow never reach a factorization
-    with pytest.raises(ValueError, match="non-finite Frobenius norm"):
-        collinear(builtin_sic(2), 1e300)
+    # finite entries whose squares overflow never reach a factorization:
+    # the member skips symmetrization, not as_hermitian's finite-norm gate
+    for t in (1e300, -1e300):
+        with pytest.raises(ValueError) as info:
+            collinear(builtin_sic(2), t)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "non-finite Frobenius norm (element 0): a NaN or inf entry, or "
+            "entries too large to square")
 
 
 def test_collinear_antiparallel_qubit_sic():

@@ -110,6 +110,13 @@ def test_gram_of_matches_einsum(d):
         assert np.array_equal(G, G.T)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 12, 16, 32])
+def test_gram_of_is_exactly_symmetric(d):
+    # _gram_of takes no (G + G^T) / 2 pass: X X^T must come out symmetric
+    G = _gram_of(random_stack(np.random.default_rng(250 + d), d * d, d))
+    assert np.array_equal(G, G.T)
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_mix_matches_einsum(d):
     rng = np.random.default_rng(300 + d)

@@ -153,6 +153,26 @@ def test_check_route_error_propagates_unchanged(monkeypatch, concurrent):
 
 
 @pytest.mark.parametrize("concurrent", PATHS.values(), ids=PATHS)
+def test_nan_check_route_fails_closed(monkeypatch, concurrent):
+    basis = random_mic(3, 1)
+    submitted = force_path(monkeypatch, concurrent)
+    real_route = wigner._sqrtphi_route
+
+    def one_nan_route(G, weights, elements):
+        stack = real_route(G, weights, elements)
+        stack[2, 1, 0] = np.nan
+        return stack
+
+    monkeypatch.setattr(wigner, "_sqrtphi_route", one_nan_route)
+    with pytest.raises(ArithmeticError) as info:
+        principal_wigner(basis)
+    assert str(info.value) == (
+        "principal-Wigner routes disagree: cross error nan > 1.0e-08")
+    assert len(submitted) == int(concurrent)
+    assert "_principal_wigner" not in vars(basis)  # nothing stored
+
+
+@pytest.mark.parametrize("concurrent", PATHS.values(), ids=PATHS)
 def test_zero_weight_rejected_before_either_route(monkeypatch, capfd,
                                                   concurrent):
     basis = MeasureBasis(zero_weight_raw())

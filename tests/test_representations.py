@@ -258,6 +258,21 @@ def test_gauge_split_reconstruction(rng):
         assert split.right.values.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_gauge_split_fails_closed_on_nan(monkeypatch, rng):
+    basis = random_unbiased_mic(3, 8)
+    real_conditional = representations.conditional_matrix
+
+    def one_nan_conditional(D, basis):
+        M = real_conditional(D, basis)
+        M[0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(representations, "conditional_matrix",
+                        one_nan_conditional)
+    with pytest.raises(ArithmeticError, match=r"\(residual nan\)"):
+        gauge_split(random_povm(3, 4, rng), basis, random_density(3, rng))
+
+
 def test_gauge_split_rejects_biased_reference():
     basis = random_mic(2, 9)  # generically biased
     assert not basis.classify().is_unbiased

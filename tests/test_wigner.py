@@ -180,6 +180,59 @@ def test_principal_wigner_factorizes_once_and_validates_once(monkeypatch):
     assert len(calls) == 2 and checks == [2]
 
 
+def test_library_built_bases_skip_symmetrization(monkeypatch):
+    raw = np.array(random_mic(4, 3).elements)
+    calls = []
+    real_as_hermitian = bases.as_hermitian
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return real_as_hermitian(A)
+
+    monkeypatch.setattr(bases, "as_hermitian", counting)
+    L = MeasureBasis(raw)
+    assert calls == [(16, 4, 4)]
+    calls.clear()
+    F = principal_wigner(L).basis
+    lift(F, L)
+    collinear(L, 0.5)
+    collinear(L, -0.5)
+    shifted(F)
+    assert calls == []
+
+
+def _exact_path_outputs(L):
+    """The library-built bases of L: its PW, the lift of that PW, a
+    collinear pair and the shifted PW."""
+    F = principal_wigner(L).basis
+    return {"pw": F, "lift": lift(F, L), "collinear+": collinear(L, 0.5),
+            "collinear-": collinear(L, -2.0), "shifted": shifted(F)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12])
+@pytest.mark.parametrize("maker", [random_mic, random_unbiased_mic])
+def test_exact_path_equals_symmetrizing_constructor(maker, d):
+    for seed in (1, 2, 3):
+        for what, out in _exact_path_outputs(maker(d, seed)).items():
+            E = out.elements
+            assert np.array_equal(E, E.conj().swapaxes(-1, -2)), what
+            again = MeasureBasis(np.array(E))
+            assert np.array_equal(again.elements, E), what
+            assert np.array_equal(gram(again), gram(out)), what
+            assert again.classify() == out.classify(), what
+    # a member the checks reject fails with the same failures either way
+    L = maker(d, 1)
+    t = 1e-7
+    member = t * L.elements + ((1 - t) / d) * L.weights[:, None, None] \
+        * np.eye(d)
+    with pytest.raises(bases.BasisValidationError) as exact:
+        MeasureBasis._from_hermitian(member)
+    with pytest.raises(bases.BasisValidationError) as symmetrized:
+        MeasureBasis(member)
+    assert exact.value.failures == symmetrized.value.failures != {}
+    assert str(exact.value) == str(symmetrized.value)
+
+
 def test_shifted_is_involution():
     F = principal_wigner(random_mic(3, 8)).basis
     np.testing.assert_allclose(
