@@ -47,6 +47,7 @@ from .operators import (
     SingularOperatorError,
     _finite_norms,
     _flat,
+    _identity,
     _square,
     as_hermitian,
     coords_to_op,
@@ -65,6 +66,8 @@ RANK_EIG_RTOL = 1e-8
 
 # Weights at or below this count as zero wherever a map divides by them.
 WEIGHT_TOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 class BasisValidationError(ValueError):
@@ -281,17 +284,19 @@ def _guarded_svd(X: np.ndarray,
 def _element_ranks(eigs: np.ndarray, rtol: float = RANK_EIG_RTOL) -> np.ndarray:
     """Numerical rank of each element from its eigenvalues (one row per
     element): the count of |eigenvalues| above rtol times the largest."""
-    floor = rtol * np.maximum(np.abs(eigs).max(axis=1), 1e-300)
-    return (np.abs(eigs) > floor[:, None]).sum(axis=1)
+    mags = abs(eigs)
+    floor = rtol * np.maximum(mags.max(axis=1), 1e-300)
+    return (mags > floor[:, None]).sum(axis=1)
 
 
 def _positive_weights(basis: MeasureBasis, what: str) -> np.ndarray:
     """The weights of ``basis``, after checking that none is zero, since
     ``what`` divides by them."""
     w = basis.weights
-    if np.min(w) <= WEIGHT_TOL:
+    low = w.min()
+    if low <= WEIGHT_TOL:
         raise SingularOperatorError(
-            f"zero-weight element (min trace {np.min(w):.3e}); {what} "
+            f"zero-weight element (min trace {low:.3e}); {what} "
             "divides by the weights"
         )
     return w
@@ -375,24 +380,23 @@ def _certified_independent(G: np.ndarray, max_offdiag: float,
     undecided.
     """
     n = G.shape[0]
-    eps = np.finfo(float).eps
     diag = G.diagonal()
+    m = float(diag.max())
     if max_offdiag <= VALIDATION_TOL:
-        top = float(diag.max())
-        radius = (n - 1) * max_offdiag + 4 * n * eps * top
+        radius = (n - 1) * max_offdiag + 4 * n * _EPS * m
         low = float(diag.min()) - radius
-        if low > 0 and top + radius <= MAX_GRAM_CONDITION * low:
+        if low > 0 and m + radius <= MAX_GRAM_CONDITION * low:
             return True
     shifted = offdiag  # |G| once its diagonal is back, later G - tau I
-    shifted.flat[::n + 1] = np.abs(diag)
+    shifted.flat[::n + 1] = abs(diag)
     top = float(shifted.sum(axis=1).max())
     if not math.isfinite(top):
         return False
-    r = 4 * n * eps * top
-    g = (n + 1) * eps / 2 / (1 - (n + 1) * eps / 2)
-    c = (n * g / (1 - g) + eps) * float(diag.max())
+    r = 4 * n * _EPS * top
+    g = (n + 1) * _EPS / 2 / (1 - (n + 1) * _EPS / 2)
+    c = (n * g / (1 - g) + _EPS) * m
     np.copyto(shifted, G)
-    shifted.flat[::n + 1] -= (top + r) / MAX_GRAM_CONDITION + r + c
+    shifted.flat[::n + 1] = diag - ((top + r) / MAX_GRAM_CONDITION + r + c)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -411,7 +415,9 @@ def _structure(elements: np.ndarray) -> _Structure:
     d = elements.shape[1]
     failures: dict[str, float] = {}
 
-    sum_resid = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
+    resid = elements.sum(axis=0)
+    resid -= _identity(d)
+    sum_resid = float(abs(resid).max())
     if sum_resid > VALIDATION_TOL:
         failures["sum_to_identity"] = sum_resid
 
@@ -438,7 +444,7 @@ def _structure(elements: np.ndarray) -> _Structure:
         gram_spectrum=gvals,
         is_wigner=is_measure_basis and max_offdiag <= VALIDATION_TOL,
         is_unbiased=is_measure_basis and bool(
-            np.max(np.abs(weights - 1.0 / d)) <= VALIDATION_TOL
+            abs(weights - 1.0 / d).max() <= VALIDATION_TOL
         ),
     )
 
@@ -453,8 +459,8 @@ def _certainly_not_mic(checks: _Structure, d: int) -> bool:
     """
     tau = VALIDATION_TOL
     bound = (checks.weights + d * tau) ** 2 + d * tau**2
-    rounding = 1.0 + 4 * checks.gram.shape[0] * np.finfo(float).eps
-    return bool(np.any(checks.gram.diagonal() > bound * rounding))
+    rounding = 1.0 + 4 * checks.gram.shape[0] * _EPS
+    return bool((checks.gram.diagonal() > bound * rounding).any())
 
 
 def _guard_mic_and_wigner(checks: _Structure, eigs: np.ndarray) -> bool:
@@ -481,7 +487,7 @@ def _classified(checks: _Structure, eigs: np.ndarray,
         is_mic=is_mic,
         is_wigner=checks.is_wigner,
         is_unbiased=checks.is_unbiased,
-        is_rank1=is_measure_basis and bool(np.all(_element_ranks(eigs) == 1)),
+        is_rank1=is_measure_basis and bool((_element_ranks(eigs) == 1).all()),
         min_eigenvalue=float(eigs[:, 0].min()),
         gram_condition=_gram_condition(gvals),
         failures=checks.failures,
@@ -589,7 +595,8 @@ def _born_power(basis: MeasureBasis, p: int) -> np.ndarray:
     inner = (U / s**p) @ U.T
     inner = (inner + inner.T) / 2
     rw = np.sqrt(basis.weights)
-    return inner * np.outer(rw, 1.0 / rw)
+    inner *= rw[:, None] * (1.0 / rw)
+    return inner
 
 
 @dataclass

@@ -3,9 +3,10 @@ Wootters Wigner bases and their composite tensor products, collinear
 families, tensorhedra, and seeded random bases for property testing.
 
 Builders given a dimension, a fiducial or a tensorhedron's n admit only
-2 <= d <= 32 (1 <= n <= 5), checked before anything is allocated. The
-operator-stack contractions are batched matrix products (D op D^dag,
-R ops R), O(n d^3) for n elements.
+2 <= d <= 32 (1 <= n <= 5), checked before anything is allocated. A
+Weyl-Heisenberg orbit is one gather times a phase table, O(n d^2) for its
+n = d^2 elements; the whitening contraction R ops R is a batched matrix
+product, O(n d^3).
 
 Randomness: every seeded builder draws from a single numpy PCG64 stream
 (np.random.default_rng(seed)) in documented order, so runs are reproducible
@@ -20,7 +21,13 @@ import math
 import numpy as np
 
 from .bases import BasisValidationError, MeasureBasis, _gram_of, _positive_weights
-from .operators import SingularOperatorError, _mix, _square
+from .operators import (
+    SingularOperatorError,
+    _identity,
+    _mix,
+    _square,
+    as_hermitian,
+)
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -65,10 +72,23 @@ def wh_displacement(d: int, k: int, l: int) -> np.ndarray:
 
 def _wh_orbit(op: np.ndarray) -> np.ndarray:
     """(1/d) D_{k,l} op D_{k,l}^dag for every displacement, in flat
-    (k*d + l) order."""
+    (k*d + l) order, as one gather. D_{k,l} = X^k Z^l moves entry
+    (m - k, p - k) of op to (m, p) with a phase, so with indices mod d
+
+        (D_{k,l} op D_{k,l}^dag)_{mp} = omega^{l(m - p)} op_{m-k, p-k}:
+
+    op / d indexed by a rolled (k, m, p) table, times an (l, m, p) table of
+    the d-th roots of unity that wh_displacement uses."""
     d = op.shape[0]
-    D = np.stack([wh_displacement(d, k, l) for k in range(d) for l in range(d)])
-    return D @ op @ D.conj().transpose(0, 2, 1) / d
+    j = np.arange(d)
+    diff = j[:, None] - j  # diff[m, p] = m - p
+    back = diff.T % d  # back[k, m] = (m - k) mod d
+    roots = np.exp(2j * np.pi * j / d)
+    rolled = (op / d)[back[:, :, None], back[:, None, :]]  # (k, m, p)
+    orbit = np.empty((d, d, d, d), dtype=complex)  # (k, l, m, p)
+    np.multiply(rolled[:, None], roots[(j[:, None, None] * diff) % d],
+                out=orbit)
+    return orbit.reshape(d * d, d, d)
 
 
 def sic_gram(d: int) -> np.ndarray:
@@ -83,8 +103,11 @@ def _sic_deviation(G: np.ndarray, d: int) -> float:
 
 
 def sic_gram_deviation(elements: np.ndarray) -> float:
-    """Max entrywise deviation of a stack's Gram matrix from the SIC one."""
-    elements = _square(elements, 3, "elements")
+    """Max entrywise deviation of a Hermitian stack's Gram matrix from the
+    SIC one. The stack passes through as_hermitian first, since the Gram
+    kernel's Re tr(E_a^dag E_b) is tr(E_a E_b) only for Hermitian elements:
+    a non-Hermitian stack raises NonHermitianError."""
+    elements = as_hermitian(_square(elements, 3, "elements"))
     return _sic_deviation(_gram_of(elements), elements.shape[1])
 
 
@@ -230,10 +253,8 @@ def collinear(basis: MeasureBasis, t: float) -> MeasureBasis:
     if not math.isfinite(t):
         raise ValueError(f"t = {t} is not finite")
     d = basis.dim
-    eye = np.eye(d)
-    elements = t * basis.elements + (
-        (1 - t) / d
-    ) * basis.weights[:, None, None] * eye
+    elements = t * basis.elements
+    elements += ((1 - t) / d) * basis.weights[:, None, None] * _identity(d)
     try:
         # a real combination of an exactly Hermitian stack and a real
         # diagonal, so exactly Hermitian

@@ -71,10 +71,9 @@ def as_hermitian(A) -> np.ndarray:
     to square) raises ValueError naming it, before any factorization sees it.
     """
     A = _square(A, None, "operator")
-    where = " (element {})" if A.ndim == 3 else ""
     norm = _finite_norms(A)
     # (A^dag + A) * 0.5 in one C-contiguous buffer: equal to (A + A^dag) / 2
-    herm = np.conjugate(np.swapaxes(A, -1, -2), out=np.empty(A.shape, complex))
+    herm = np.conjugate(A.swapaxes(-1, -2), out=np.empty(A.shape, complex))
     herm += A
     herm *= 0.5
     k = _flat(A - herm)
@@ -82,9 +81,10 @@ def as_hermitian(A) -> np.ndarray:
     scale = np.maximum(norm, 1.0)
     if (asym > HERMITICITY_RTOL * scale).any():
         i = np.argmax(asym / scale)  # the worst element of a stack
+        where = f" (element {i})" if A.ndim == 3 else ""
         raise NonHermitianError(
             f"asymmetry {asym.flat[i]:.3e} exceeds {HERMITICITY_RTOL:.1e} * "
-            f"norm {scale.flat[i]:.3e}" + where.format(i)
+            f"norm {scale.flat[i]:.3e}" + where
         )
     return herm
 
@@ -137,6 +137,15 @@ def herm_onb(d: int) -> np.ndarray:
         basis[anti[-1] + l] = np.diag(diag / np.sqrt(l * (l + 1)))
     basis.setflags(write=False)
     return basis
+
+
+@lru_cache(maxsize=32)
+def _identity(d: int) -> np.ndarray:
+    """The real d x d identity, read-only: the one the per-call checks
+    subtract and the collinear builder scales."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 @lru_cache(maxsize=32)

@@ -23,7 +23,14 @@ from .bases import (
     born_matrix,
     rescaled_frame_operator,
 )
-from .operators import _flat, _square, as_hermitian, coords_to_op, op_to_coords
+from .operators import (
+    _flat,
+    _identity,
+    _square,
+    as_hermitian,
+    coords_to_op,
+    op_to_coords,
+)
 from .wigner import sqrt_born
 
 STATE_TOL = 1e-9
@@ -42,7 +49,7 @@ def validate_state(rho) -> np.ndarray:
     """Check trace one and positive semidefiniteness within STATE_TOL;
     returns the symmetrized state."""
     rho = as_hermitian(_square(rho, 2, "state"))
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError(
             f"trace {tr:.12g} is not 1 within {STATE_TOL:.1e}"
@@ -60,13 +67,14 @@ def validate_povm(effects) -> np.ndarray:
     STATE_TOL; returns the symmetrized (n, d, d) stack. Any number of
     outcomes is allowed."""
     effects = as_hermitian(_square(effects, 3, "effects"))
-    d = effects.shape[1]
     min_eig = float(np.linalg.eigvalsh(effects)[:, 0].min())
     if min_eig < -STATE_TOL:
         raise POVMValidationError(
             f"effect minimum eigenvalue {min_eig:.3e} below -{STATE_TOL:.1e}"
         )
-    sum_resid = float(np.max(np.abs(effects.sum(axis=0) - np.eye(d))))
+    resid = effects.sum(axis=0)
+    resid -= _identity(effects.shape[1])
+    sum_resid = float(abs(resid).max())
     if sum_resid > STATE_TOL:
         raise POVMValidationError(
             f"effects sum deviates from identity by {sum_resid:.3e}"
@@ -210,7 +218,7 @@ def gauge_split(effects, basis: MeasureBasis, rho) -> GaugeSplit:
     right = QuasiDistribution(phi_sqrt @ _born(basis.elements, rho))
     left = conditional_matrix(D, basis) @ phi_sqrt
     q_direct = _born(D, rho)
-    resid = float(np.max(np.abs(left @ right.values - q_direct)))
+    resid = float(abs(left @ right.values - q_direct).max())
     if not resid <= STATE_TOL:  # a NaN fails
         raise ArithmeticError(
             f"gauge split failed to reconstruct the Born probabilities "

@@ -26,6 +26,7 @@ same numbers.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -94,7 +95,8 @@ def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
     needs a factorization independent of the cached SVD.
     """
     rw = np.sqrt(weights)
-    vals, vecs = np.linalg.eigh(G / np.outer(rw, rw))
+    col = rw[:, None]
+    vals, vecs = np.linalg.eigh(G / (col * rw))
     condition = vals[-1] / vals[0] if vals[0] > 0 else np.inf
     if condition > MAX_GRAM_CONDITION:
         raise SingularOperatorError(
@@ -103,7 +105,8 @@ def _born_sqrt(G: np.ndarray, weights: np.ndarray) -> np.ndarray:
         )
     inner_root = (vecs / np.sqrt(vals)) @ vecs.T
     inner_root = (inner_root + inner_root.T) / 2
-    return inner_root * np.outer(rw, 1.0 / rw)
+    inner_root *= col * (1.0 / rw)
+    return inner_root
 
 
 def _sqrtphi_route(G: np.ndarray, weights: np.ndarray,
@@ -180,7 +183,7 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
     via_polar = coords_to_op(polar, basis.dim)
     via_sqrtphi = _sqrtphi_route(*check) if job is None else job.result()
 
-    cross_error = float(np.max(np.abs(via_polar - via_sqrtphi)))
+    cross_error = float(abs(via_polar - via_sqrtphi).max())
     if not cross_error <= CROSS_CHECK_TOL:  # a NaN fails
         raise ArithmeticError(
             f"principal-Wigner routes disagree: cross error {cross_error:.3e} "
@@ -196,7 +199,7 @@ def principal_wigner(basis: MeasureBasis) -> PWResult:
             f"(min eigenvalue {cls.min_eigenvalue:.3e}, "
             f"failures {cls.failures})"
         )
-    bias_dev = float(np.max(np.abs(out.weights - basis.weights)))
+    bias_dev = float(abs(out.weights - w).max())
     if not bias_dev <= VALIDATION_TOL:  # a NaN fails
         raise ArithmeticError(f"bias not preserved (deviation {bias_dev:.3e})")
     via_sqrtphi.setflags(write=False)
@@ -255,7 +258,7 @@ def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
     FL = principal_wigner(left).basis
     FR = principal_wigner(right).basis
     if mode == "ordered":
-        dev = float(np.max(np.abs(FL.elements - FR.elements)))
+        dev = float(abs(FL.elements - FR.elements).max())
         ok = dev <= EQUIV_TOL
         return EquivalenceResult(ok, dev, "equivalent" if ok else "mismatch")
 
@@ -263,9 +266,7 @@ def wigner_equivalent(left: MeasureBasis, right: MeasureBasis,
     perm = _greedy_match(FL.elements, FR.elements, same_bias)
     if perm is None:
         return EquivalenceResult(False, np.inf, "greedy_unmatched")
-    dev = float(
-        np.max(np.abs(FL.elements - FR.elements[perm]))
-    )
+    dev = float(abs(FL.elements - FR.elements[perm]).max())
     if dev <= EQUIV_TOL:
         return EquivalenceResult(True, dev, "equivalent", tuple(perm))
     return EquivalenceResult(False, dev, "greedy_unmatched")
@@ -280,18 +281,29 @@ def _greedy_match(X: np.ndarray, Y: np.ndarray,
     2 Re tr(X_i^dag Y_j), all n^2 of them from one real matrix product of
     the _flat views. Callers verify the pairing they get by its max-abs
     deviation.
+
+    One argmin per row gives every row its nearest Y. Up to the first row
+    whose nearest Y another row shares, or whose nearest distance is not
+    finite, no earlier row has taken a row's nearest Y, so those rows keep
+    it; the masked loop runs from that row on, or not at all.
     """
     x, y = _flat(X), _flat(Y)
     dist = (np.einsum("ij,ij->i", x, x)[:, None]
             + np.einsum("ij,ij->i", y, y) - 2.0 * (x @ y.T))
     if allowed is not None:
         dist[~allowed] = np.inf
-    perm = np.empty(len(X), dtype=int)
-    for i, row in enumerate(dist):
-        perm[i] = j = int(np.argmin(row))
-        if not np.isfinite(row[j]):
-            return None
-        dist[:, j] = np.inf
+    perm = dist.argmin(axis=1)
+    shared = np.bincount(perm, minlength=dist.shape[1])[perm] > 1
+    stuck = np.flatnonzero(shared | ~np.isfinite(dist.min(axis=1)))
+    if stuck.size:
+        start = stuck[0]
+        dist[:, perm[:start]] = np.inf
+        for i in range(start, len(perm)):
+            row = dist[i]
+            perm[i] = j = row.argmin()
+            if not math.isfinite(row[j]):
+                return None
+            dist[:, j] = np.inf
     return perm
 
 

@@ -10,6 +10,7 @@ from quasibasis.constructions import (
     builtin_sic,
     random_unbiased_mic,
     sic_gram,
+    tensorhedron,
     wootters_wigner,
 )
 from quasibasis.serialize import read_basis, write_basis, write_fiducial, write_state
@@ -488,13 +489,14 @@ def test_rejected_basis_error_reports_failures(tmp_path, capsys):
 
 
 def test_error_failures_are_json_floats(tmp_path, capsys):
-    # the Hesse SIC with its last element repeated: a finite condition
-    # above 2^53, an integral float
-    elements = np.array(builtin_sic(3).elements)
+    # the two-qubit tensorhedron with its last element repeated: a finite
+    # condition above 2^53, an integral float (its elements are explicit
+    # products, so the condition does not move with the orbit kernel)
+    elements = np.array(tensorhedron(2).elements)
     elements[-1] = elements[-2]
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps({
-        "dimension": 3,
+        "dimension": 4,
         "elements": [[[[z.real, z.imag] for z in row] for row in E]
                      for E in elements],
     }))

@@ -15,6 +15,7 @@ from quasibasis.constructions import (
     random_unbiased_wigner,
     sic_from_fiducial,
     sic_gram,
+    sic_gram_deviation,
     tensor_basis,
     tensorhedron,
     wh_displacement,
@@ -22,7 +23,7 @@ from quasibasis.constructions import (
 )
 from quasibasis.analysis import distance, distance_bounds, wh_covariant
 from quasibasis.wigner import principal_wigner, shifted
-from quasibasis.operators import SingularOperatorError
+from quasibasis.operators import NonHermitianError, SingularOperatorError
 
 from conftest import SX, SZ, random_unitary, wh_flat_index, wh_index_pair
 
@@ -59,6 +60,19 @@ def test_sic_from_fiducial_hesse():
     fid = np.array([0, 1, -1]) / np.sqrt(2)
     basis = sic_from_fiducial(fid)
     np.testing.assert_allclose(gram(basis), sic_gram(3), atol=1e-13)
+
+
+def test_sic_gram_deviation_rejects_a_non_hermitian_stack():
+    # i E has the Re tr(E_a^dag E_b) of E, so read through the Gram kernel
+    # alone it passed as a SIC; its tr(E_a E_b) misses the SIC Gram matrix
+    # by 0.5
+    sic = builtin_sic(2).elements
+    assert sic_gram_deviation(sic) <= 1e-15
+    E = 1j * sic
+    assert np.max(np.abs(np.einsum("aij,bji->ab", E, E).real
+                         - sic_gram(2))) == pytest.approx(0.5)
+    with pytest.raises(NonHermitianError, match=r"\(element 0\)"):
+        sic_gram_deviation(E)
 
 
 def test_sic_from_fiducial_rejects_basis_state():

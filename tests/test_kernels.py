@@ -1,8 +1,9 @@
 """The real-view Hilbert-Schmidt kernels and the builders' operator-stack
 contractions against the einsum formulas they replace, a guard that the hot
 path never plans an einsum, a guard that no module contracts more than
-two arrays in one einsum, and a guard that the inverse maps of a basis
-factorize nothing once its Loewdin SVD and element spectra are cached."""
+two arrays in one einsum, a guard that the inverse maps of a basis
+factorize nothing once its Loewdin SVD and element spectra are cached, and
+a guard that pins the factorizations of one theorem session in order."""
 
 import ast
 import inspect
@@ -173,7 +174,9 @@ def test_hot_path_plans_no_einsum(monkeypatch):
 
 
 # The builders' operator-stack contractions against the three-operand
-# einsums they replace, at the dimensions the builders took before d = 32.
+# einsums they replace, at the dimensions the builders took before d = 32;
+# the Weyl-Heisenberg orbit, a gather with a phase table, also at d = 13
+# and d = 32.
 STACK_DIMS = (2, 3, 5, 8)
 
 
@@ -192,13 +195,15 @@ def test_whiten_to_identity_matches_einsum(d):
     close(_whiten_to_identity(ops), ref, scale)
 
 
-@pytest.mark.parametrize("d", STACK_DIMS)
+@pytest.mark.parametrize("d", STACK_DIMS + (13, 32))
 def test_wh_orbit_matches_einsum(d):
     rng = np.random.default_rng(500 + d)
     op = random_stack(rng, 1, d, hermitian=False)[0]
     D = np.stack([wh_displacement(d, k, l)
                   for k in range(d) for l in range(d)])
-    ref = np.einsum("nij,jk,nlk->nil", D, op, D.conj()) / d
+    # one operand pair at a time: the plain three-operand loop takes
+    # seconds at d = 32
+    ref = np.einsum("nij,jk,nlk->nil", D, op, D.conj(), optimize=True) / d
     close(_wh_orbit(op), ref, np.linalg.norm(op))
 
 
@@ -321,3 +326,42 @@ def test_inverse_maps_reuse_the_cached_factorizations(monkeypatch):
     calls.clear()
     dual_basis(raw)
     assert calls == ["svd"]
+
+
+# The numpy.linalg calls of one d = 4 theorem session, in order, as the
+# suite-small benchmark workload runs it on a fresh basis.
+SESSION_FACTORIZATIONS = [
+    "cholesky",  # MeasureBasis(raw): independence
+    "svd", "eigh",  # principal_wigner(L): polar route, check route
+    # shifted(PW): a Wigner basis, certified from its Gram diagonal
+    "eigvalsh", "eigvalsh",  # distance_bounds: element and Gram spectra
+    "cholesky", "cholesky",  # collinear(L, +-0.5)
+    "cholesky",  # the shuffled partner of the t = 0.5 member
+    "svd", "eigh", "svd", "eigh",  # PW of the two collinear members
+    "svd", "eigh",  # wigner_equivalent: PW of the partner
+    "cholesky",  # lift of PW(L)
+    "eigvalsh", "eigvalsh",  # gauge_split: effect and state spectra
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theorem_session_factorizations_are_pinned(monkeypatch, seed):
+    raw = np.array(random_unbiased_mic(4, seed).elements)
+    shuffle = np.random.default_rng(0).permutation(16)
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+
+    calls = count_linalg(monkeypatch)
+    L = MeasureBasis(raw)
+    pw = principal_wigner(L).basis
+    spw = shifted(pw)
+    distance_bounds(L)
+    distance(L, pw)
+    distance(L, spw)
+    plus, minus = collinear(L, 0.5), collinear(L, -0.5)
+    partner = MeasureBasis(plus.elements[shuffle])
+    principal_wigner(plus)
+    principal_wigner(minus)
+    assert wigner_equivalent(L, partner, mode="permuted").equivalent
+    lift(pw, L)
+    gauge_split(L.elements, L, rho)
+    assert calls == SESSION_FACTORIZATIONS

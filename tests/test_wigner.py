@@ -331,27 +331,65 @@ def test_wigner_equivalent_permuted_mode():
     assert [perm[j] for j in permuted.permutation] == [0, 1, 2, 3]
 
 
+def masked_loop_match(X, Y, allowed):
+    """Greedy pairing as a plain masked loop: each X[i], in order, takes
+    the nearest Y[j] not yet used among the allowed pairs."""
+    used, perm = np.zeros(len(Y), dtype=bool), []
+    for i, x in enumerate(X):
+        devs = [np.inf if used[j] or not allowed[i, j]
+                else np.sum(np.abs(x - Y[j]) ** 2) for j in range(len(Y))]
+        j = int(np.argmin(devs))
+        if not np.isfinite(devs[j]):
+            return None
+        used[j] = True
+        perm.append(j)
+    return perm
+
+
 def test_greedy_match_follows_the_loop_reference(rng):
     from quasibasis.wigner import _greedy_match
-
-    def reference(X, Y, allowed):
-        used, perm = np.zeros(len(Y), dtype=bool), []
-        for i, x in enumerate(X):
-            devs = [np.inf if used[j] or not allowed[i, j]
-                    else np.sum(np.abs(x - Y[j]) ** 2) for j in range(len(Y))]
-            j = int(np.argmin(devs))
-            if not np.isfinite(devs[j]):
-                return None
-            used[j] = True
-            perm.append(j)
-        return perm
 
     for trial in range(20):
         X, Y = rng.integers(-3, 4, (2, 6, 2, 2)) * 1.0  # distances tie often
         allowed = rng.random((6, 6)) < (0.5 if trial % 2 else 1.0)
         got = _greedy_match(X, Y, allowed)
-        want = reference(X, Y, allowed)
+        want = masked_loop_match(X, Y, allowed)
         assert (None if got is None else list(got)) == want
+
+
+# nearest[i] is the Y that X[i] sits next to: all distinct; rows 0 and 5
+# sharing one; rows 3 and 6 sharing one, after three distinct rows
+NEAREST = {
+    "distinct": [4, 1, 7, 0, 8, 2, 6, 3, 5],
+    "shared-at-first-row": [2, 1, 7, 0, 8, 2, 6, 3, 5],
+    "shared-later": [4, 1, 7, 0, 8, 2, 0, 3, 5],
+}
+
+
+@pytest.mark.parametrize("pattern", NEAREST)
+@pytest.mark.parametrize("blocked", [None, 4, 0])
+def test_greedy_match_early_start_follows_the_loop_reference(pattern,
+                                                             blocked):
+    # Y: nine matrix units scaled by 10; X[i] is Y[nearest[i]] plus noise,
+    # so its distances to the other Y are near 200 and never tie. Row
+    # `blocked` may pair with nothing, which no pairing survives.
+    from quasibasis.wigner import _greedy_match
+
+    noise = np.random.default_rng(7).standard_normal((2, 9, 3, 3))
+    Y = 10.0 * np.eye(9).reshape(9, 3, 3).astype(complex)
+    X = Y[NEAREST[pattern]] + 0.1 * (noise[0] + 1j * noise[1])
+    allowed = np.ones((9, 9), dtype=bool)
+    if blocked is not None:
+        allowed[blocked] = False
+    got = _greedy_match(X, Y, allowed)
+    want = masked_loop_match(X, Y, allowed)
+    assert (None if got is None else list(got)) == want
+    if blocked is None:
+        assert sorted(got) == list(range(9))
+        if pattern == "distinct":
+            assert list(got) == NEAREST[pattern]
+    else:
+        assert got is None
 
 
 def test_wigner_equivalent_dim_mismatch():
