@@ -67,11 +67,10 @@ def distance_bounds(mic: MeasureBasis) -> DistanceReport:
 
     Rejects biased MICs: the bounds are proven only in the unbiased case.
     """
-    cls = mic.classify()
-    if not (cls.is_mic and cls.is_unbiased):
+    if not (mic._structure.is_unbiased and mic._is_mic):
         raise ValueError(
             "distance bounds require an unbiased MIC "
-            f"(classification: {cls.summary()})"
+            f"(classification: {mic.classify().summary()})"
         )
     d = mic.dim
     # The Gram spectrum (isospectral to the frame operator; one eigvalsh
@@ -104,10 +103,9 @@ def ceiling_negativity(wigner_basis: MeasureBasis) -> float:
     negative element eigenvalue, so the value is spectrally exact; see
     ceiling_negativity_sampled for an eigensolver-free check.
     """
-    cls = wigner_basis.classify()
-    if not cls.is_wigner:
+    if not wigner_basis._structure.is_wigner:
         raise ValueError("ceiling negativity is defined for Wigner bases")
-    return max(0.0, -cls.min_eigenvalue)
+    return max(0.0, -float(wigner_basis._element_spectra[:, 0].min()))
 
 
 def ceiling_negativity_sampled(wigner_basis: MeasureBasis,
@@ -374,10 +372,9 @@ def verify_theorem2(mic: MeasureBasis, *,
     bounds (default tol SATURATION_TOL), and a non-SIC exceeds the lower
     one by more than 1e-6."""
     tol = SATURATION_TOL if tol is None else tol
-    cls = mic.classify()
-    if not (cls.is_mic and cls.is_unbiased):
+    if not (mic._structure.is_unbiased and mic._is_mic):
         raise ValueError("theorem2 needs an unbiased MIC "
-                         f"(got: {cls.summary()})")
+                         f"(got: {mic.classify().summary()})")
     lower, upper = sic_bounds(mic.dim)
     sic_dev = _sic_deviation(mic._structure.gram, mic.dim)
     is_sic = sic_dev <= SIC_TOL
@@ -470,7 +467,7 @@ def verify_negativity(wigner_basis: MeasureBasis, *, samples: int = 10_000,
                       seed: int = 0, tol: float | None = None) -> SuiteResult:
     """The sampled ceiling negativity never exceeds the spectral value
     (margin 1e-12) and comes within tol (default 1e-3) of it."""
-    if not wigner_basis.classify().is_wigner:
+    if not wigner_basis._structure.is_wigner:
         raise ValueError("negativity suite needs a Wigner basis")
     value = ceiling_negativity(wigner_basis)
     sampled = ceiling_negativity_sampled(wigner_basis, samples, seed)

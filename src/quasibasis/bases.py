@@ -11,17 +11,17 @@ about the bias and the Gram matrix, so MeasureBasis checks them at
 construction from one Gram matrix, and keeps it. The constructor first
 symmetrizes its input with as_hermitian. The bases that the library builds
 from stacks exactly Hermitian by construction (principal_wigner's output,
-lift, collinear and so shifted) take MeasureBasis._from_hermitian instead:
-as_hermitian's finite-norm gate and every structural check, but no
-symmetrization, which would return those stacks unchanged. Linear
-independence is proven without an eigendecomposition where it can be:
-from the diagonal (Gershgorin) for a Wigner basis, whose Gram matrix is
-diagonal up to roundoff, and otherwise from one Cholesky factorization of
-the Gram matrix less a small shift. Only a candidate that both leave
-undecided takes one eigvalsh of the Gram matrix. The Gram spectrum and
-exact condition, when construction did not need them, and the element
-spectra that the MIC and rank-1 refinements need, are computed on first
-use and cached.
+lift, collinear and so shifted, sic_from_fiducial's symmetrized orbit)
+take MeasureBasis._from_hermitian instead: as_hermitian's finite-norm gate
+and every structural check, but no symmetrization, which would return
+those stacks unchanged. Linear independence is proven without an
+eigendecomposition where it can be: from the diagonal (Gershgorin) for a
+Wigner basis, whose Gram matrix is diagonal up to roundoff, and otherwise
+from one Cholesky factorization of the Gram matrix less a small shift.
+Only a candidate that both leave undecided takes one eigvalsh of the Gram
+matrix. The Gram spectrum and exact condition, when construction did not
+need them, and the element spectra that the MIC and rank-1 refinements
+need, are computed on first use and cached.
 
 Every inverse map reads the SVD A^{-1/2} C = U Sigma V^T (C the herm_onb
 coordinates, A = diag(weights)) that MeasureBasis._lowdin caches:
@@ -149,8 +149,8 @@ class MeasureBasis:
     Gram diagonal or one shifted Cholesky where they can (see
     _certified_independent), so the Gram spectrum is kept only when an
     eigvalsh had to decide and is computed on first use otherwise; the
-    element spectra wait for classify(). Element order is significant and
-    preserved.
+    element spectra, and the MIC decision read from them, wait for their
+    first use. Element order is significant and preserved.
     """
 
     def __init__(self, elements, label: str = ""):
@@ -161,10 +161,10 @@ class MeasureBasis:
                         label: str = "") -> MeasureBasis:
         """The basis of a stack the library built exactly Hermitian, entry
         (k, j) of each element the conjugate of entry (j, k) bit for bit:
-        PW's polar output, a lift, a collinear or shifted member. Every
-        check of the constructor runs except the symmetrization, which
-        would return such a stack unchanged. Takes ownership of the stack
-        and makes it read-only."""
+        PW's polar output, a lift, a collinear or shifted member, the SIC
+        orbit sic_from_fiducial symmetrized. Every check of the constructor
+        runs except the symmetrization, which would return such a stack
+        unchanged. Takes ownership of the stack and makes it read-only."""
         elements = _element_stack(elements)
         _finite_norms(elements)
         basis = cls.__new__(cls)
@@ -187,7 +187,7 @@ class MeasureBasis:
                 array.setflags(write=False)
         self._structure = checks
         if checks.is_wigner and not _certainly_not_mic(checks, self.dim):
-            _guard_mic_and_wigner(checks, self._element_spectra)
+            self._is_mic  # a MIC that is also Wigner raises here
 
     def __len__(self):
         return self.elements.shape[0]
@@ -237,6 +237,10 @@ class MeasureBasis:
         eigs = np.linalg.eigvalsh(self.elements)
         eigs.setflags(write=False)
         return eigs
+
+    @cached_property
+    def _is_mic(self) -> bool:
+        return _guard_mic_and_wigner(self._structure, self._element_spectra)
 
     @cached_property
     def _class(self) -> BasisClass:

@@ -164,7 +164,7 @@ def _cmd_represent(args) -> int:
     # schema checks only: the library validates the state and effects once
     rho = serialize._read_state_matrix(args.state)
     if args.mode == "probs":
-        if not basis.classify().is_mic:
+        if not basis._is_mic:
             raise InputError(
                 "probs mode needs a MIC reference (use quasi for a general "
                 "measure basis)"

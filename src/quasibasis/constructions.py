@@ -126,13 +126,13 @@ def sic_from_fiducial(fiducial, tol: float = SIC_TOL) -> MeasureBasis:
     norm = np.linalg.norm(f)
     if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"fiducial is not unit norm (|f| = {norm:.15g})")
-    elements = _wh_orbit(np.outer(f, f.conj()))
+    elements = as_hermitian(_wh_orbit(np.outer(f, f.conj())))
     # Gram check before basis validation: degenerate orbits (which are not
     # even linearly independent) should report as non-SIC, with the deviation.
-    dev = sic_gram_deviation(elements)
+    dev = _sic_deviation(_gram_of(elements), d)
     if not dev <= tol:
         raise SicOrbitError("orbit is not a SIC", dev)
-    return MeasureBasis(elements, label=f"WH-orbit SIC d={d}")
+    return MeasureBasis._from_hermitian(elements, label=f"WH-orbit SIC d={d}")
 
 
 def builtin_sic(d: int) -> MeasureBasis:
@@ -322,7 +322,7 @@ def random_mic(d: int, seed: int) -> MeasureBasis:
             basis = MeasureBasis(elements, label=f"random MIC d={d} seed={seed}")
         except BasisValidationError:
             continue
-        if basis.classify().is_mic:
+        if basis._is_mic:
             return basis
     raise RuntimeError(
         f"failed to draw a linearly independent MIC for d={d}, seed={seed}"

@@ -108,8 +108,8 @@ def _finite_norms(A: np.ndarray) -> np.ndarray:
 
 def hs_inner(A, B) -> float:
     """Hilbert-Schmidt inner product tr(AB) of two Hermitian operators."""
-    A = _square(A, 2, "operator")
-    B = _square(B, 2, "operator", A.shape[0])
+    A = as_hermitian(_square(A, 2, "operator"))
+    B = as_hermitian(_square(B, 2, "operator", A.shape[0]))
     return float(np.einsum("ij,ji->", A, B).real)
 
 

@@ -18,10 +18,9 @@ import numpy as np
 
 from .bases import (
     MeasureBasis,
+    _born_power,
     _dual_factors,
     _positive_weights,
-    born_matrix,
-    rescaled_frame_operator,
 )
 from .operators import (
     _flat,
@@ -67,7 +66,12 @@ def validate_povm(effects) -> np.ndarray:
     STATE_TOL; returns the symmetrized (n, d, d) stack. Any number of
     outcomes is allowed."""
     effects = as_hermitian(_square(effects, 3, "effects"))
-    min_eig = float(np.linalg.eigvalsh(effects)[:, 0].min())
+    return _checked_povm(effects, np.linalg.eigvalsh(effects))
+
+
+def _checked_povm(effects: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """validate_povm's checks of a Hermitian stack, given its spectra."""
+    min_eig = float(spectra[:, 0].min())
     if min_eig < -STATE_TOL:
         raise POVMValidationError(
             f"effect minimum eigenvalue {min_eig:.3e} below -{STATE_TOL:.1e}"
@@ -124,8 +128,7 @@ def probs_to_state(p, basis: MeasureBasis) -> ReconstructedState:
         i = int(np.argmin(finite))
         raise ValueError(f"non-finite coefficient {p[i]} at index {i}")
     W, s, Vt = _dual_factors(basis)
-    op = coords_to_op(((p @ W) / s) @ Vt, basis.dim)
-    op = (op + op.conj().T) / 2
+    op = coords_to_op(((p @ W) / s) @ Vt, basis.dim)  # exactly Hermitian
     tr = float(np.trace(op).real)
     min_eig = float(np.linalg.eigvalsh(op)[0])
     return ReconstructedState(
@@ -163,12 +166,17 @@ class QuasiDistribution:
 
 def conditional_matrix(effects, basis: MeasureBasis) -> np.ndarray:
     """Conditional probabilities P(D_j | H_i) = tr(D_j L_i / l_i); rows are
-    D outcomes, columns the d^2 reference outcomes. Column sums are one
-    when the effects form a POVM."""
-    effects = _square(effects, 3, "effects", basis.dim)
+    D outcomes, columns the d^2 reference outcomes. The effects must be
+    Hermitian; column sums are one when they form a POVM."""
+    effects = as_hermitian(_square(effects, 3, "effects", basis.dim))
+    return _conditional(effects, basis)
+
+
+def _conditional(D: np.ndarray, basis: MeasureBasis) -> np.ndarray:
+    """conditional_matrix of a Hermitian stack of the basis's dimension."""
     w = _positive_weights(basis, "the conditional matrix")
-    # Re tr(D_j L_i) = _flat(D_j) . _flat(L_i), since L_i is Hermitian
-    return (_flat(effects) @ _flat(basis.elements).T) / w
+    # tr(D_j L_i) = _flat(D_j) . _flat(L_i), since both are Hermitian
+    return (_flat(D) @ _flat(basis.elements).T) / w
 
 
 def two_step_q(effects, basis: MeasureBasis, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -177,10 +185,9 @@ def two_step_q(effects, basis: MeasureBasis, rho) -> tuple[np.ndarray, np.ndarra
     is the quantum replacement for the law of total probability."""
     D = validate_povm(effects)
     rho = validate_state(rho)
-    cond = conditional_matrix(D, basis)
+    cond = _conditional(_square(D, 3, "effects", basis.dim), basis)
     q_direct = _born(D, rho)
-    phi = born_matrix(basis).phi
-    q_cascade = cond @ (phi @ _born(basis.elements, rho))
+    q_cascade = cond @ (_born_power(basis, 2) @ _born(basis.elements, rho))
     return q_direct, q_cascade
 
 
@@ -212,11 +219,12 @@ def gauge_split(effects, basis: MeasureBasis, rho) -> GaugeSplit:
             "matrix of a biased basis is not symmetric, so an even-handed "
             "square-root factorization does not exist"
         )
-    D = validate_povm(effects)
+    D = (_checked_povm(effects, basis._element_spectra)
+         if effects is basis.elements else validate_povm(effects))
     rho = validate_state(rho)
     phi_sqrt = sqrt_born(basis)
     right = QuasiDistribution(phi_sqrt @ _born(basis.elements, rho))
-    left = conditional_matrix(D, basis) @ phi_sqrt
+    left = _conditional(_square(D, 3, "effects", basis.dim), basis) @ phi_sqrt
     q_direct = _born(D, rho)
     resid = float(abs(left @ right.values - q_direct).max())
     if not resid <= STATE_TOL:  # a NaN fails
@@ -235,5 +243,6 @@ def ebmc_apply(basis: MeasureBasis, X) -> np.ndarray:
     map.
     """
     X = as_hermitian(_square(X, 2, "operator", basis.dim))
-    S = rescaled_frame_operator(basis)
-    return coords_to_op(op_to_coords(X) @ S.T, basis.dim)
+    w = _positive_weights(basis, "the rescaled frame operator")
+    C = basis.coords  # C^T diag(1/w) C applied as C^T ((C x) / w)
+    return coords_to_op(((C @ op_to_coords(X)) / w) @ C, basis.dim)

@@ -282,10 +282,9 @@ def _greedy_match(X: np.ndarray, Y: np.ndarray,
     the _flat views. Callers verify the pairing they get by its max-abs
     deviation.
 
-    One argmin per row gives every row its nearest Y. Up to the first row
-    whose nearest Y another row shares, or whose nearest distance is not
-    finite, no earlier row has taken a row's nearest Y, so those rows keep
-    it; the masked loop runs from that row on, or not at all.
+    When every row's nearest Y is its own and finite, one argmin per row is
+    the pairing, as masking only removes columns; otherwise the masked loop
+    runs from the first row.
     """
     x, y = _flat(X), _flat(Y)
     dist = (np.einsum("ij,ij->i", x, x)[:, None]
@@ -293,17 +292,14 @@ def _greedy_match(X: np.ndarray, Y: np.ndarray,
     if allowed is not None:
         dist[~allowed] = np.inf
     perm = dist.argmin(axis=1)
-    shared = np.bincount(perm, minlength=dist.shape[1])[perm] > 1
-    stuck = np.flatnonzero(shared | ~np.isfinite(dist.min(axis=1)))
-    if stuck.size:
-        start = stuck[0]
-        dist[:, perm[:start]] = np.inf
-        for i in range(start, len(perm)):
-            row = dist[i]
-            perm[i] = j = row.argmin()
-            if not math.isfinite(row[j]):
-                return None
-            dist[:, j] = np.inf
+    if (np.bincount(perm, minlength=dist.shape[1]).max() <= 1
+            and np.isfinite(dist.min(axis=1)).all()):
+        return perm
+    for i, row in enumerate(dist):
+        perm[i] = j = row.argmin()
+        if not math.isfinite(row[j]):
+            return None
+        dist[:, j] = np.inf
     return perm
 
 

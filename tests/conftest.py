@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 from pathlib import Path
@@ -208,3 +209,27 @@ def use_reference_writers(monkeypatch) -> None:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def count_linalg(monkeypatch):
+    """A function that routes every numpy.linalg function through a wrapper
+    appending its name to a list on each call, or with shapes=True its name
+    and the shape of its first argument, and returns that list; the routing
+    lasts until the test ends."""
+
+    def start(shapes: bool = False) -> list:
+        calls = []
+        for name in np.linalg.__all__:
+            func = getattr(np.linalg, name)
+            if inspect.isclass(func):
+                continue
+
+            def counting(*args, _name=name, _func=func, **kwargs):
+                calls.append((_name, np.shape(args[0])) if shapes else _name)
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    return start

@@ -14,6 +14,7 @@ from quasibasis.constructions import (
     wootters_wigner,
 )
 from quasibasis.serialize import read_basis, write_basis, write_fiducial, write_state
+from quasibasis.representations import POVMValidationError, validate_povm
 from quasibasis.bases import gram
 from quasibasis.wigner import principal_wigner
 
@@ -581,6 +582,13 @@ def test_represent_split_without_povm_needs_a_mic(tmp_path, capsys):
     )
     assert code == 2 and doc["status"] == "error"
     assert "--povm" in doc["payload"]["message"]
+    # the basis's own elements are checked on its cached spectra, with
+    # validate_povm's message for the same stack
+    with pytest.raises(POVMValidationError) as info:
+        validate_povm(np.array(read_basis(w3).elements))
+    assert doc["payload"]["message"] == (
+        "split mode needs --povm unless the basis is a MIC: the default "
+        f"effects are the basis elements ({info.value})")
     code, doc = run_json(
         capsys, "represent", "--state", str(state), "--basis", str(mic),
         "--mode", "split",

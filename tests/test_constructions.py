@@ -182,6 +182,23 @@ def test_collinear_non_finite_t_rejected(t):
         collinear(builtin_sic(2), t)
 
 
+def test_builtin_sic_symmetrizes_its_orbit_once(monkeypatch):
+    # the Gram test and the basis share one symmetrized stack
+    from quasibasis import bases, constructions
+
+    calls = []
+    real_as_hermitian = constructions.as_hermitian
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return real_as_hermitian(A)
+
+    monkeypatch.setattr(constructions, "as_hermitian", counting)
+    monkeypatch.setattr(bases, "as_hermitian", counting)
+    builtin_sic(3)
+    assert calls == [(9, 3, 3)]
+
+
 def test_collinear_overflowing_t_rejected():
     # finite entries whose squares overflow never reach a factorization:
     # the member skips symmetrization, not as_hermitian's finite-norm gate

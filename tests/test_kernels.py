@@ -6,7 +6,6 @@ factorize nothing once its Loewdin SVD and element spectra are cached, and
 a guard that pins the factorizations of one theorem session in order."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +27,19 @@ from quasibasis import (
     probs_to_state,
     random_mic,
     random_unbiased_mic,
+    random_unbiased_wigner,
     shifted,
     sqrt_born,
     state_to_probs,
     tensor_basis,
     wigner_equivalent,
 )
-from quasibasis.analysis import ceiling_negativity_sampled
+from quasibasis.analysis import (
+    ceiling_negativity,
+    ceiling_negativity_sampled,
+    verify_negativity,
+    verify_theorem2,
+)
 from quasibasis.bases import _gram_of
 from quasibasis.constructions import (
     _whiten_to_identity,
@@ -269,24 +274,7 @@ def test_no_module_contracts_three_operands_in_one_einsum():
     assert found == []
 
 
-def count_linalg(monkeypatch) -> list[str]:
-    """Route every numpy.linalg function through a wrapper that appends its
-    name to the returned list on each call."""
-    calls = []
-    for name in np.linalg.__all__:
-        func = getattr(np.linalg, name)
-        if inspect.isclass(func):
-            continue
-
-        def counting(*args, _name=name, _func=func, **kwargs):
-            calls.append(_name)
-            return _func(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
-def test_inverse_maps_reuse_the_cached_factorizations(monkeypatch):
+def test_inverse_maps_reuse_the_cached_factorizations(count_linalg):
     L = collinear(random_unbiased_mic(4, 3), 0.5)
     F = principal_wigner(L).basis
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
@@ -295,7 +283,7 @@ def test_inverse_maps_reuse_the_cached_factorizations(monkeypatch):
     raw = np.array(L.elements)
     L._lowdin, L._element_spectra  # the factorizations a basis caches
 
-    calls = count_linalg(monkeypatch)
+    calls = count_linalg()
     np.linalg.eigvalsh(np.eye(2))
     assert calls == ["eigvalsh"]  # the wrappers see a direct call
 
@@ -340,17 +328,19 @@ SESSION_FACTORIZATIONS = [
     "svd", "eigh", "svd", "eigh",  # PW of the two collinear members
     "svd", "eigh",  # wigner_equivalent: PW of the partner
     "cholesky",  # lift of PW(L)
-    "eigvalsh", "eigvalsh",  # gauge_split: effect and state spectra
+    # gauge_split: the state spectrum; L's own elements are checked as
+    # effects on the spectra that distance_bounds cached
+    "eigvalsh",
 ]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_theorem_session_factorizations_are_pinned(monkeypatch, seed):
+def test_theorem_session_factorizations_are_pinned(count_linalg, seed):
     raw = np.array(random_unbiased_mic(4, seed).elements)
     shuffle = np.random.default_rng(0).permutation(16)
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
 
-    calls = count_linalg(monkeypatch)
+    calls = count_linalg()
     L = MeasureBasis(raw)
     pw = principal_wigner(L).basis
     spw = shifted(pw)
@@ -365,3 +355,24 @@ def test_theorem_session_factorizations_are_pinned(monkeypatch, seed):
     lift(pw, L)
     gauge_split(L.elements, L, rho)
     assert calls == SESSION_FACTORIZATIONS
+
+
+def test_scope_gates_take_no_gram_eigvalsh(count_linalg):
+    # Each gate reads the flags set at construction and the MIC decision
+    # from the batched element eigvalsh; none asks for the (n, n) Gram
+    # spectrum that only classify() and distance_bounds use.
+    mic = random_unbiased_mic(6, 1)
+    calls = count_linalg(shapes=True)
+    verify_theorem2(mic)
+    assert ("eigvalsh", (36, 36)) not in calls
+    assert calls.count(("eigvalsh", (36, 6, 6))) == 1
+    for gate in (ceiling_negativity,
+                 lambda F: verify_negativity(F, samples=64)):
+        wig = random_unbiased_wigner(4, 1)
+        calls.clear()
+        gate(wig)
+        assert [c for c in calls if c[0] != "norm"] == [
+            ("eigvalsh", (16, 4, 4))]
+    calls.clear()
+    random_mic(6, 1)
+    assert ("eigvalsh", (36, 36)) not in calls

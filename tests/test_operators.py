@@ -31,6 +31,14 @@ def test_hs_inner_dimension_mismatch():
         hs_inner(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("A,B", [(1j * np.eye(2), np.eye(2)),
+                                 (np.eye(2), SX + 1j * SZ)])
+def test_hs_inner_rejects_non_hermitian(A, B):
+    # Re tr(AB) of A = i I, B = I would read as 0.0 rather than fail
+    with pytest.raises(NonHermitianError):
+        hs_inner(A, B)
+
+
 def test_hs_inner_symmetric(rng):
     A = random_hermitian(4, rng)
     B = random_hermitian(4, rng)

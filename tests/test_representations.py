@@ -14,7 +14,12 @@ from quasibasis.constructions import (
     sic_gram_deviation,
     wootters_wigner,
 )
-from quasibasis.operators import as_hermitian, hs_inner, op_to_coords
+from quasibasis.operators import (
+    NonHermitianError,
+    as_hermitian,
+    hs_inner,
+    op_to_coords,
+)
 from quasibasis.serialize import write_fiducial, write_state
 from quasibasis import representations
 from quasibasis.representations import (
@@ -90,6 +95,13 @@ def test_probs_to_state_garbage_round_trip():
     basis = random_mic(2, 5)
     rec = probs_to_state(basis.weights / 2, basis)
     np.testing.assert_allclose(rec.operator, np.eye(2) / 2, atol=1e-12)
+
+
+def test_probs_to_state_output_is_exactly_hermitian(rng):
+    # coords_to_op writes it so, and nothing symmetrizes it again
+    for basis in (random_mic(3, 4), wootters_wigner(3), builtin_sic(2)):
+        op = probs_to_state(rng.standard_normal(len(basis)), basis).operator
+        assert np.array_equal(op, op.conj().T)
 
 
 def test_probs_to_state_flags_non_state():
@@ -260,17 +272,31 @@ def test_gauge_split_reconstruction(rng):
 
 def test_gauge_split_fails_closed_on_nan(monkeypatch, rng):
     basis = random_unbiased_mic(3, 8)
-    real_conditional = representations.conditional_matrix
+    real_conditional = representations._conditional
 
     def one_nan_conditional(D, basis):
         M = real_conditional(D, basis)
         M[0, 0] = np.nan
         return M
 
-    monkeypatch.setattr(representations, "conditional_matrix",
-                        one_nan_conditional)
+    monkeypatch.setattr(representations, "_conditional", one_nan_conditional)
     with pytest.raises(ArithmeticError, match=r"\(residual nan\)"):
         gauge_split(random_povm(3, 4, rng), basis, random_density(3, rng))
+
+
+def test_gauge_split_checks_a_non_mic_basis_own_elements_as_effects():
+    # read off the basis's cached element spectra, with validate_povm's
+    # message for the same stack
+    F = wootters_wigner(3)
+    with pytest.raises(POVMValidationError) as want:
+        representations.validate_povm(np.array(F.elements))
+    with pytest.raises(POVMValidationError) as got:
+        gauge_split(F.elements, F, np.eye(3) / 3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("effect minimum eigenvalue")
+    with pytest.raises(POVMValidationError) as got:
+        two_step_q(F.elements, F, np.eye(3) / 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_gauge_split_rejects_biased_reference():
@@ -334,6 +360,13 @@ def test_ebmc_maps_states_to_states(rng):
     for _ in range(20):
         out = ebmc_apply(basis, random_density(3, rng))
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
+
+
+def test_conditional_matrix_rejects_non_hermitian_effects():
+    # Re tr(D L) of D = i L_j would read as zero rather than fail
+    E = builtin_sic(2)
+    with pytest.raises(NonHermitianError):
+        conditional_matrix(1j * E.elements, E)
 
 
 def test_conditional_matrix_rejects_zero_weight():

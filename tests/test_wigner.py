@@ -357,8 +357,9 @@ def test_greedy_match_follows_the_loop_reference(rng):
         assert (None if got is None else list(got)) == want
 
 
-# nearest[i] is the Y that X[i] sits next to: all distinct; rows 0 and 5
-# sharing one; rows 3 and 6 sharing one, after three distinct rows
+# nearest[i] is the Y that X[i] sits next to: all distinct, so one argmin
+# is the pairing (the early start); rows 0 and 5 sharing one, or rows 3
+# and 6, so the masked loop runs from row 0 (the fallback)
 NEAREST = {
     "distinct": [4, 1, 7, 0, 8, 2, 6, 3, 5],
     "shared-at-first-row": [2, 1, 7, 0, 8, 2, 6, 3, 5],
@@ -372,7 +373,8 @@ def test_greedy_match_early_start_follows_the_loop_reference(pattern,
                                                              blocked):
     # Y: nine matrix units scaled by 10; X[i] is Y[nearest[i]] plus noise,
     # so its distances to the other Y are near 200 and never tie. Row
-    # `blocked` may pair with nothing, which no pairing survives.
+    # `blocked` may pair with nothing, which sends even the distinct
+    # pattern to the fallback, and no pairing survives.
     from quasibasis.wigner import _greedy_match
 
     noise = np.random.default_rng(7).standard_normal((2, 9, 3, 3))
